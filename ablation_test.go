@@ -1,6 +1,10 @@
 package pciesim
 
-import "testing"
+import (
+	"testing"
+
+	"pciesim/internal/fault"
+)
 
 // Ablations for the design choices DESIGN.md calls out: the posted
 // write extension the paper names as future work, and link-level error
@@ -44,7 +48,7 @@ func TestErrorInjectionFullSystem(t *testing.T) {
 	run := func(rate float64) (float64, LinkStats) {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
-		cfg.DiskLinkErrorRate = rate
+		cfg.DiskLinkFault = fault.CorruptionPlan(rate)
 		cfg.Seed = 7
 		s := New(cfg)
 		res, err := s.RunDD(1 << 20)

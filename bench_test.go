@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"pciesim/internal/topo"
+	"pciesim/internal/fault"
 )
 
 // The benchmark harness regenerates every table and figure of the
@@ -20,13 +20,6 @@ import (
 
 func benchOptions() Options {
 	return Options{Scale: 64, BlockMB: []int{64, 128, 256, 512}}
-}
-
-// reportEventRate is the one place every engine benchmark reports its
-// throughput metric, so the unit stays consistent across serial and
-// parallel runs.
-func reportEventRate(b *testing.B, events uint64) {
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 func reportSeries(b *testing.B, fig Figure) {
@@ -127,43 +120,8 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		events += s.Eng.Fired()
 		simSeconds += s.Eng.Now().Seconds()
 	}
-	reportEventRate(b, events)
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(simSeconds/b.Elapsed().Seconds(), "simsec/s")
-}
-
-// BenchmarkSimulatorEventRateParallel measures the conservative
-// parallel engine against the serial baseline on a wide fabric: three
-// x4 switches fanning out to 18 disks, all running dd concurrently.
-// Each sub-benchmark is the same simulation at a different -par; the
-// stats dumps are byte-identical across them (TestParallelStatsMatchSerial),
-// so events/s is the only number that may move. Fired counts come
-// from Engine.TotalFired — the root's own counter covers only its
-// domain.
-func BenchmarkSimulatorEventRateParallel(b *testing.B) {
-	ts, err := ParseTopo("switch:x4(disk*6),switch:x4(disk*6),switch:x4(disk*6)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			opt := benchOptions()
-			opt.Par = par
-			cfg := opt.scaledTopoConfig()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				sys, err := topo.Build(ts, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sys.RunDDAll(1 << 20); err != nil {
-					b.Fatal(err)
-				}
-				events += sys.Eng.TotalFired()
-			}
-			reportEventRate(b, events)
-		})
-	}
 }
 
 // BenchmarkLinkSaturation measures a single link's modeled throughput
@@ -252,7 +210,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 				}
 				events += s.Eng.Fired()
 			}
-			reportEventRate(b, events)
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }
@@ -309,7 +267,7 @@ func BenchmarkAblationErrorRate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig()
 				cfg.DD.StartupOverhead /= 64
-				cfg.DiskLinkErrorRate = rate
+				cfg.DiskLinkFault = fault.CorruptionPlan(rate)
 				cfg.Seed = 11
 				s := New(cfg)
 				res, err := s.RunDD(1 << 20)

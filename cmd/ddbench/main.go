@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ddbench [-fig 9a|9b|9c|9d|err|fc|degrade|lat|scen|wl|all] [-scale N] [-jobs N] [-par N] [-csv] [-table1]
+//	ddbench [-fig 9a|9b|9c|9d|err|fc|degrade|lat|scen|wl|all] [-scale N] [-jobs N] [-csv] [-table1]
 //
 // -scale divides the paper's 64-512 MiB block sizes (and dd's fixed
 // startup overhead) by N; 1 reproduces the full-size experiment, the
@@ -12,12 +12,6 @@
 // -jobs fans a figure's independent (series, block-size) runs across N
 // workers. Each run is its own single-threaded simulation, so the
 // output is byte-identical at any job count; -jobs -1 uses every CPU.
-//
-// -par splits each simulation itself into N timing domains run by the
-// conservative parallel engine (DESIGN.md §15). Orthogonal to -jobs,
-// and likewise byte-identical to the serial engine at any value;
-// configurations the parallel engine cannot express (fault plans on
-// the cut links, platform-wide degradation, DPC) fall back to serial.
 //
 // The observability flags apply per run within a sweep: with
 // `-stats-out stats.json` each (series, block-size) point writes
@@ -42,7 +36,6 @@ func main() {
 	topoSpec := flag.String("topo", "", "sweep block sizes over an arbitrary topology: a canned scenario name or a spec like \"switch:x4(disk*8)\"")
 	scale := flag.Int("scale", 16, "divide the paper's block sizes by this factor")
 	jobs := flag.Int("jobs", 1, "parallel simulation runs (-1 = one per CPU); output is identical at any value")
-	par := flag.Int("par", 0, "timing domains per simulation for the conservative parallel engine (0 or 1 = serial); output is identical at any value")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	table1 := flag.Bool("table1", false, "also print Table I (protocol overheads)")
 	var obs obscli.Flags
@@ -53,7 +46,7 @@ func main() {
 		printTableI()
 	}
 
-	opt := pciesim.Options{Scale: *scale, Jobs: *jobs, Par: *par}
+	opt := pciesim.Options{Scale: *scale, Jobs: *jobs}
 	if obs.Active() {
 		// One armed copy per run; dumps are suffixed with the run label.
 		// Observe runs concurrently under -jobs, so the map is locked;

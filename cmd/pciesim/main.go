@@ -186,7 +186,6 @@ func main() {
 	degrade := flag.Bool("degrade", false, "arm adaptive link degradation: sustained link errors downtrain width/generation, upgrade retrains back off exponentially")
 	campaignSpec := flag.String("campaign", "", "Monte-Carlo campaign: [kind=fault|hotplug,]seeds=K[,rate=R] dd runs (fault: distinct RNG seeds; hotplug: deterministic removal schedules)")
 	jobs := flag.Int("jobs", 1, "parallel campaign runs (-1 = one per CPU); output is identical at any value")
-	par := flag.Int("par", 0, "timing domains for the conservative parallel engine (0 or 1 = serial); output is identical at any value")
 	creditSpec := flag.String("credits", "", "VC0 flow-control credits per link: empty/\"inf\" = legacy infinite, N = uniform, or k=v pairs (ph,pd,nh,nd,ch,cd)")
 	topoSpec := flag.String("topo", "", "arbitrary topology: a canned scenario (validation, fanout8, p2p) or a spec like \"switch:x4(disk*8)\"")
 	workloadSpec := flag.String("workload", "", "run a synthetic workload engine instead of dd: arrival-op (e.g. poisson-rx, bursty-read), fanned across every matching endpoint of the topology")
@@ -223,12 +222,12 @@ func main() {
 			engine: *workloadSpec, traceIn: *traceIn, capture: *wlCapture,
 			ops: *wlOps, gapUs: *wlGap, length: *wlLen, burst: *wlBurst, seed: *wlSeed,
 		}
-		runWorkload(*topoSpec, *gen, *par, credits, wl, obs)
+		runWorkload(*topoSpec, *gen, credits, wl, obs)
 		return
 	}
 
 	if *topoSpec != "" {
-		runTopo(*topoSpec, *blockMB, *gen, *par, credits, *p2p, *reflect, *dumpTopo, obs)
+		runTopo(*topoSpec, *blockMB, *gen, credits, *p2p, *reflect, *dumpTopo, obs)
 		return
 	}
 
@@ -238,7 +237,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
 			os.Exit(2)
 		}
-		runCampaign(kind, seeds, rate, *jobs, *par, *blockMB, obs)
+		runCampaign(kind, seeds, rate, *jobs, *blockMB, obs)
 		return
 	}
 
@@ -256,7 +255,6 @@ func main() {
 	cfg.EnableMSI = *msi
 	cfg.Disk.PostedWrites = *posted
 	cfg.Credits = credits
-	cfg.Domains = *par
 
 	for _, r := range []struct {
 		name string
@@ -326,7 +324,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("dd: %v\n", res)
-	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
+	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.Fired())
 
 	fmt.Println("\nlink protocol statistics (upstream direction):")
 	for _, l := range []struct {
@@ -393,7 +391,7 @@ func main() {
 
 // runTopo builds an arbitrary topology from a canned scenario name or
 // a spec string and runs dd on every disk (or the P2P workload).
-func runTopo(spec string, blockMB, gen, par int, credits pciesim.CreditConfig, p2p, reflect, dump bool, obs obscli.Flags) {
+func runTopo(spec string, blockMB, gen int, credits pciesim.CreditConfig, p2p, reflect, dump bool, obs obscli.Flags) {
 	ts := pciesim.CannedTopo(spec)
 	if ts == nil {
 		var err error
@@ -407,7 +405,6 @@ func runTopo(spec string, blockMB, gen, par int, credits pciesim.CreditConfig, p
 	cfg.Gen = pciesim.Generation(gen)
 	cfg.Credits = credits
 	cfg.NoP2P = reflect
-	cfg.Domains = par
 	cfg.DD.StartupOverhead = cfg.DD.StartupOverhead * sim.Tick(blockMB) / 64
 	s, err := pciesim.BuildTopo(ts, cfg)
 	if err != nil {
@@ -455,7 +452,7 @@ func runTopo(spec string, blockMB, gen, par int, credits pciesim.CreditConfig, p
 		fmt.Printf("aggregate: %.3f Gb/s, fairness spread %.3f (sectors at first exit: %v)\n",
 			res.AggregateThroughputGbps(), res.FairnessSpread(), res.SectorsAtFirstExit)
 	}
-	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
+	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.Fired())
 
 	fmt.Println("\nerror containment:")
 	quiet := true
@@ -495,7 +492,7 @@ type wlOptions struct {
 // against a topology platform (default "validation"). Synthesis and
 // replay share this single path, so capturing a run and re-feeding the
 // trace produces a byte-identical stats dump.
-func runWorkload(topoSpec string, gen, par int, credits pciesim.CreditConfig, wl wlOptions, obs obscli.Flags) {
+func runWorkload(topoSpec string, gen int, credits pciesim.CreditConfig, wl wlOptions, obs obscli.Flags) {
 	if topoSpec == "" {
 		topoSpec = "validation"
 	}
@@ -512,7 +509,6 @@ func runWorkload(topoSpec string, gen, par int, credits pciesim.CreditConfig, wl
 	cfg.Gen = pciesim.Generation(gen)
 	cfg.Credits = credits
 	cfg.EnableMSI = true // workload NIC flows exercise the MSI path
-	cfg.Domains = par
 	s, err := pciesim.BuildTopo(ts, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
@@ -619,7 +615,7 @@ func runWorkload(topoSpec string, gen, par int, credits pciesim.CreditConfig, wl
 		agg += f.GoodputGbps()
 	}
 	fmt.Printf("aggregate: %.3f Gb/s, fairness spread %.3f\n", agg, res.FairnessSpread())
-	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
+	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.Fired())
 	if err := obs.Finish(s.Eng); err != nil {
 		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
 		os.Exit(1)
@@ -629,11 +625,11 @@ func runWorkload(topoSpec string, gen, par int, credits pciesim.CreditConfig, wl
 // runCampaign runs a Monte-Carlo campaign (stochastic faults or
 // surprise hot-plug) and prints the per-seed table plus the outcome
 // distribution.
-func runCampaign(kind string, seeds int, rate float64, jobs, par, blockMB int, obs obscli.Flags) {
+func runCampaign(kind string, seeds int, rate float64, jobs, blockMB int, obs obscli.Flags) {
 	// Scale 16 with a pre-scaling block of 16x the requested size keeps
 	// the simulated block at blockMB MiB while dividing dd's fixed
 	// startup overhead, like the single-run path's proportional scaling.
-	opt := pciesim.Options{Scale: 16, BlockMB: []int{blockMB * 16}, Jobs: jobs, Par: par}
+	opt := pciesim.Options{Scale: 16, BlockMB: []int{blockMB * 16}, Jobs: jobs}
 	if obs.Active() {
 		var mu sync.Mutex
 		armed := make(map[*sim.Engine]*obscli.Flags)

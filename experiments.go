@@ -42,12 +42,6 @@ type Options struct {
 	// is always called serially, in sweep submission order, whatever
 	// Jobs is — the safe place for printing and file output.
 	ObserveDone func(eng *sim.Engine, label string) error
-	// Par requests the conservative parallel engine with this many
-	// timing domains per simulation (the -par flag). 0 and 1 keep the
-	// serial engine. Unlike Jobs — which fans independent runs across
-	// CPUs — Par parallelizes within one simulation; results stay
-	// byte-identical to serial at any value.
-	Par int
 }
 
 // DefaultOptions returns the 16x-scaled workload.
@@ -74,7 +68,6 @@ func (o Options) jobs() int {
 
 func (o Options) scaledConfig(base Config) Config {
 	base.DD.StartupOverhead /= sim.Tick(o.Scale)
-	base.Domains = o.Par
 	return base
 }
 

@@ -56,7 +56,6 @@ type scenarioRun struct {
 func (o Options) scaledTopoConfig() topo.Config {
 	cfg := topo.DefaultConfig()
 	cfg.DD.StartupOverhead /= sim.Tick(o.Scale)
-	cfg.Domains = o.Par
 	return cfg
 }
 

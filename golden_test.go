@@ -22,20 +22,18 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden stats dum
 // packet taking a different path, a leak — shows up as a diff.
 var goldenCases = []struct {
 	name string
-	run  func(domains int) (*System, error)
+	run  func() (*sim.Engine, error)
 }{
-	{"dd-baseline", func(domains int) (*System, error) {
+	{"dd-baseline", func() (*sim.Engine, error) {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 16
-		cfg.Domains = domains
 		sys := New(cfg)
 		_, err := sys.RunDD(4 << 20)
-		return sys, err
+		return sys.Eng, err
 	}},
-	{"dd-faulted", func(domains int) (*System, error) {
+	{"dd-faulted", func() (*sim.Engine, error) {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 16
-		cfg.Domains = domains
 		rates := FaultRates{TLPCorrupt: 1e-3, DLLPCorrupt: 1e-3, Drop: 5e-4}
 		cfg.DiskLinkFault = &FaultPlan{
 			Seed: 7,
@@ -50,19 +48,39 @@ var goldenCases = []struct {
 			return nil, err
 		}
 		sys.Eng.Run() // drain stragglers, like the error sweep does
-		return sys, nil
+		return sys.Eng, nil
 	}},
-	{"sweep-x8", func(domains int) (*System, error) {
+	{"sweep-x8", func() (*sim.Engine, error) {
 		// The congested Fig 9(b) point: x8 links overrun the DRAM drain
 		// rate, so replays and timeouts are part of the pinned state.
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 16
-		cfg.Domains = domains
 		cfg.UplinkWidth = 8
 		cfg.DiskLinkWidth = 8
 		sys := New(cfg)
 		_, err := sys.RunDD(4 << 20)
-		return sys, err
+		return sys.Eng, err
+	}},
+	{"fabric-sym2x3", func() (*sim.Engine, error) {
+		// Two lockstep-symmetric switches: mirror-image disks run in
+		// step, so events scheduled by different links collide on
+		// (when, prio). The dump pins how the heap's insertion-order
+		// tie-break resolves those collisions.
+		spec, err := ParseTopo("switch:x4(disk*3),switch:x4(disk*3)")
+		if err != nil {
+			return nil, err
+		}
+		cfg := DefaultTopoConfig()
+		cfg.DD.StartupOverhead /= 16
+		sys, err := BuildTopo(spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sys.RunDDAll(1 << 20); err != nil {
+			return nil, err
+		}
+		sys.Eng.Run()
+		return sys.Eng, nil
 	}},
 }
 
@@ -73,12 +91,12 @@ var goldenCases = []struct {
 func TestGoldenDumps(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := tc.run(0)
+			eng, err := tc.run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := sys.Eng.Stats().WriteJSON(&buf, uint64(sys.Eng.Now())); err != nil {
+			if err := eng.Stats().WriteJSON(&buf, uint64(eng.Now())); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "golden", tc.name+".json")
@@ -97,36 +115,6 @@ func TestGoldenDumps(t *testing.T) {
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("stats dump differs from %s (-update after intentional changes);\n got %d bytes, want %d\n%s",
-					path, buf.Len(), len(want), firstDiff(buf.Bytes(), want))
-			}
-		})
-	}
-}
-
-// TestGoldenDumpsParallel re-runs every golden case on the 4-domain
-// conservative parallel engine and compares against the same pinned
-// serial dumps: the parallel engine's contract is byte-identical
-// observable behavior, so it gets no golden files of its own. (The
-// faulted case pins the disk subtree and partitions the rest; the
-// fallback path is part of what this pins down.)
-func TestGoldenDumpsParallel(t *testing.T) {
-	for _, tc := range goldenCases {
-		t.Run(tc.name, func(t *testing.T) {
-			sys, err := tc.run(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := sys.Eng.Stats().WriteJSON(&buf, uint64(sys.Eng.Now())); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", "golden", tc.name+".json")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run TestGoldenDumps with -update first)", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("-par 4 stats dump differs from the serial golden %s;\n got %d bytes, want %d\n%s",
 					path, buf.Len(), len(want), firstDiff(buf.Bytes(), want))
 			}
 		})

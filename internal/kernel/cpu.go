@@ -173,47 +173,8 @@ func (c *CPU) TriggerIRQ(line int) {
 	}
 	evname, ok := c.irqNames[line]
 	if !ok {
-		evname = c.IRQEventName(line)
+		evname = fmt.Sprintf("%s.irq%d", c.name, line)
 		c.irqNames[line] = evname
 	}
-	c.eng.ScheduleAtOrd(evname, c.eng.Now()+c.IRQLatency, sim.PriorityDefault, IRQOrd(line), h)
-}
-
-// IRQOrd is the static scheduler-identity key interrupt dispatch for
-// line carries in the event heap, used identically by the serial
-// TriggerIRQ path and by cross-domain dispatch ferries so simultaneous
-// interrupts from symmetric devices order the same way in every engine
-// configuration. The high bit-32 base keeps IRQ keys disjoint from the
-// topology builder's link keys.
-func IRQOrd(line int) uint64 { return 1<<32 + uint64(line) }
-
-// IRQEventName returns the event name interrupt dispatch for line runs
-// under. It is a pure function — no cache mutation — so a device
-// domain may call it while building a cross-domain dispatch without
-// racing the CPU's own state.
-func (c *CPU) IRQEventName(line int) string {
-	return fmt.Sprintf("%s.irq%d", c.name, line)
-}
-
-// DispatchIRQ is the cross-domain interrupt entry point. A device in
-// another timing domain raises its line by ferrying a dispatch to the
-// CPU's domain at device-time + IRQLatency; this runs at delivery,
-// inside the CPU's domain, and executes the handler inline. trig is
-// the device-local tick the line was raised at: the interrupt count
-// and trace event use it so the record matches what a serial
-// TriggerIRQ at trig would have produced.
-func (c *CPU) DispatchIRQ(line int, trig sim.Tick) {
-	c.irqs++
-	h := c.irqHandlers[line]
-	if tr := c.eng.Tracer(); tr.On(trace.CatIRQ) {
-		detail := ""
-		if h == nil {
-			detail = "spurious (no handler)"
-		}
-		tr.Emit(trace.CatIRQ, uint64(trig), c.name,
-			fmt.Sprintf("irq%d", line), 0, detail)
-	}
-	if h != nil {
-		h()
-	}
+	c.eng.Schedule(evname, c.IRQLatency, h)
 }

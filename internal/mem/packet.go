@@ -224,20 +224,6 @@ func (s PoolStats) Live() uint64 { return s.Allocs + s.Reuses - s.Releases }
 type Pool struct {
 	free  []*Packet
 	stats PoolStats
-
-	// Journal support for the parallel engine (SetJournal): when armed,
-	// every get/Release appends its tick, and FoldPoolJournals replays
-	// the per-domain journals in canonical order to reconstruct the
-	// counters one shared serial pool would have reported.
-	nowFn   func() uint64
-	journal []poolJournalEntry
-}
-
-// poolJournalEntry is one pool transition: a checkout (get) or a
-// Release, at a simulated tick.
-type poolJournalEntry struct {
-	tick uint64
-	get  bool
 }
 
 // NewPool returns an empty pool.
@@ -246,19 +232,10 @@ func NewPool() *Pool { return &Pool{} }
 // Stats returns the accounting counters.
 func (pl *Pool) Stats() PoolStats { return pl.stats }
 
-// SetJournal arms tick journaling using nowFn as the clock (nil
-// disarms). The parallel topology builder arms every domain pool with
-// its domain engine's clock; serial pools stay unarmed and pay
-// nothing.
-func (pl *Pool) SetJournal(nowFn func() uint64) { pl.nowFn = nowFn }
-
 // get returns a recycled or fresh packet. A nil pool allocates.
 func (pl *Pool) get() *Packet {
 	if pl == nil {
 		return &Packet{}
-	}
-	if pl.nowFn != nil {
-		pl.journal = append(pl.journal, poolJournalEntry{pl.nowFn(), true})
 	}
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
@@ -272,56 +249,6 @@ func (pl *Pool) get() *Packet {
 	return &Packet{pool: pl}
 }
 
-// FoldPoolJournals merges the pools' journals in canonical order —
-// (tick, pool index, journal position) — and replays them against one
-// imaginary shared pool: Allocs is the peak number of simultaneously
-// live packets (a single free list allocates fresh exactly when live
-// exceeds its previous peak), Reuses the remaining checkouts, Releases
-// the returns. For a serial single-pool configuration this reproduces
-// Pool.Stats exactly; for per-domain pools it reproduces what the
-// serial run's shared pool reports, keeping the mem.pool.* golden keys
-// byte-identical. Ordering inside one tick across domains follows pool
-// index — the one residual ambiguity, pinned down by the golden suite.
-func FoldPoolJournals(pools ...*Pool) PoolStats {
-	idx := make([]int, len(pools))
-	var s PoolStats
-	var live, peak uint64
-	for {
-		best := -1
-		for i, pl := range pools {
-			if pl == nil || idx[i] >= len(pl.journal) {
-				continue
-			}
-			if best < 0 || pl.journal[idx[i]].tick < pools[best].journal[idx[best]].tick {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := pools[best].journal[idx[best]]
-		idx[best]++
-		if e.get {
-			live++
-			if live > peak {
-				peak = live
-			}
-		} else {
-			live--
-			s.Releases++
-		}
-	}
-	var gets uint64
-	for _, pl := range pools {
-		if pl != nil {
-			gets += pl.stats.Allocs + pl.stats.Reuses
-		}
-	}
-	s.Allocs = peak
-	s.Reuses = gets - peak
-	return s
-}
-
 // Release returns a consumed packet to its pool. It is a no-op for
 // packets that did not come from a pool (direct NewPacket allocations,
 // synthesized error completions), so consumers can call it
@@ -332,9 +259,6 @@ func (p *Packet) Release() {
 	pl := p.pool
 	if pl == nil {
 		return
-	}
-	if pl.nowFn != nil {
-		pl.journal = append(pl.journal, poolJournalEntry{pl.nowFn(), false})
 	}
 	route := p.route[:0]
 	*p = Packet{route: route}

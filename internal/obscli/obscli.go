@@ -52,7 +52,6 @@ type Flags struct {
 	Prof bool
 
 	tracer     *trace.Tracer
-	domTracers []*trace.Tracer // one per timing domain under -par
 	streamFile *os.File
 	streamBuf  *bufio.Writer
 }
@@ -70,15 +69,8 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 }
 
 // Arm installs the tracer, sampler, stream, profiler, and span
-// attribution on the engine before the run. On a parallel (multi-
-// domain) engine each domain gets its own tracer and profiler — Finish
-// merges them — while the periodic sampler, which reads every counter
-// from the root domain's clock, is refused.
+// attribution on the engine before the run.
 func (f *Flags) Arm(eng *sim.Engine) error {
-	engines := eng.DomainEngines()
-	if len(engines) == 0 {
-		engines = []*sim.Engine{eng}
-	}
 	if f.Trace != "" {
 		spec := f.Trace
 		if strings.HasSuffix(spec, ".json") {
@@ -92,24 +84,17 @@ func (f *Flags) Arm(eng *sim.Engine) error {
 		if err != nil {
 			return err
 		}
-		for _, e := range engines {
-			t := trace.New(mask)
-			e.SetTracer(t)
-			f.domTracers = append(f.domTracers, t)
-			if mask&trace.CatSpan != 0 {
-				// Span events need the components' span accounting on.
-				e.ArmSpans()
-			}
+		f.tracer = trace.New(mask)
+		eng.SetTracer(f.tracer)
+		if mask&trace.CatSpan != 0 {
+			// Span events need the components' span accounting on.
+			eng.ArmSpans()
 		}
-		f.tracer = f.domTracers[0]
 	}
 	if f.StatsStream != "" && f.StatsInterval == 0 {
 		f.StatsInterval = defaultStreamInterval
 	}
 	if f.StatsInterval > 0 {
-		if len(engines) > 1 {
-			return fmt.Errorf("obscli: -stats-interval and -stats-stream sample on the root domain's clock and need the serial engine; drop -par")
-		}
 		eng.SampleEvery(sim.Tick(f.StatsInterval) * sim.Microsecond)
 	}
 	if f.StatsStream != "" {
@@ -126,9 +111,7 @@ func (f *Flags) Arm(eng *sim.Engine) error {
 		eng.Stats().Sampler().StreamTo(w)
 	}
 	if f.Prof {
-		for _, e := range engines {
-			e.Profile()
-		}
+		eng.Profile()
 	}
 	return nil
 }
@@ -154,7 +137,6 @@ func (f *Flags) Active() bool {
 func (f Flags) ForRun(label string) *Flags {
 	c := f
 	c.tracer = nil
-	c.domTracers = nil
 	c.streamFile = nil
 	c.streamBuf = nil
 	c.StatsOut = suffixPath(c.StatsOut, label)
@@ -220,15 +202,6 @@ func (f *Flags) Finish(eng *sim.Engine) error {
 	}
 	if f.Prof {
 		if prof := eng.Prof(); prof != nil {
-			if doms := eng.DomainEngines(); len(doms) > 1 {
-				var others []*sim.Profiler
-				for _, d := range doms[1:] {
-					if p := d.Prof(); p != nil {
-						others = append(others, p)
-					}
-				}
-				prof.Merge(others...)
-			}
 			fmt.Println()
 			if err := prof.WriteTable(os.Stdout, 20, true); err != nil {
 				return err
@@ -236,13 +209,9 @@ func (f *Flags) Finish(eng *sim.Engine) error {
 		}
 	}
 	if f.tracer != nil {
-		out := f.tracer
-		if len(f.domTracers) > 1 {
-			out = trace.Merge(f.domTracers...)
-		}
-		write := out.WriteText
+		write := f.tracer.WriteText
 		if strings.HasSuffix(f.TraceOut, ".json") {
-			write = out.WriteChromeJSON
+			write = f.tracer.WriteChromeJSON
 		}
 		if f.TraceOut == "" {
 			return write(os.Stdout)

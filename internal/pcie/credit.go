@@ -332,8 +332,8 @@ func newFCState(i *Interface, adv CreditConfig) *fcState {
 	for cl := range fc.pendInit1 {
 		fc.pendInit1[cl] = true
 	}
-	fc.initTmr = i.eng.NewEvent(i.name+".fcInitTimer", fc.initTimerFire)
-	fc.refreshTmr = i.eng.NewEvent(i.name+".fcRefreshTimer", fc.refreshFire)
+	fc.initTmr = i.link.eng.NewEvent(i.name+".fcInitTimer", fc.initTimerFire)
+	fc.refreshTmr = i.link.eng.NewEvent(i.name+".fcRefreshTimer", fc.refreshFire)
 	return fc
 }
 
@@ -397,7 +397,7 @@ func (i *Interface) FCSnapshots() []FCSnapshot {
 // registerStats publishes the FC-only registry entries. Called only on
 // FC links, so legacy stats dumps are byte-identical.
 func (fc *fcState) registerStats() {
-	r := fc.i.eng.Stats()
+	r := fc.i.link.eng.Stats()
 	pfx := "pcie." + fc.i.name + ".fc."
 	s := &fc.i.stats
 	for _, c := range []struct {
@@ -467,7 +467,7 @@ func (fc *fcState) consume(cl FCClass, data uint64) {
 // noteStall records a credit-starvation refusal of one TLP.
 func (fc *fcState) noteStall(cl FCClass, tlp *mem.Packet) {
 	*fc.stallCounter(cl)++
-	now := fc.i.eng.Now()
+	now := fc.i.link.eng.Now()
 	if !fc.stalled[cl] {
 		fc.stalled[cl] = true
 		fc.stallSince[cl] = now
@@ -481,12 +481,12 @@ func (fc *fcState) noteStall(cl FCClass, tlp *mem.Packet) {
 // wake ends stall episodes whose class can transmit again and retries
 // the local component. Called after any credit grant arrives.
 func (fc *fcState) wake() {
-	now := fc.i.eng.Now()
+	now := fc.i.link.eng.Now()
 	woke := false
 	for cl := FCClass(0); cl < fcNumClasses; cl++ {
 		if fc.stalled[cl] && fc.txReady(cl, 0) {
 			fc.stallHist[cl].Observe(uint64(now - fc.stallSince[cl]))
-			if eng := fc.i.eng; eng.SpansOn() {
+			if eng := fc.i.link.eng; eng.SpansOn() {
 				fc.i.spanObserve(&fc.i.fcStallSeg, "fc-stall", fc.stallSince[cl], fc.stallID[cl])
 			}
 			fc.stalled[cl] = false
@@ -563,7 +563,7 @@ func (fc *fcState) delivered(cl FCClass, data uint64, id uint64) {
 	i := fc.i
 	i.stats.TLPsDelivered++
 	if tr := i.tracer(); tr.On(trace.CatTLP) {
-		tr.Emit(trace.CatTLP, uint64(i.eng.Now()), "pcie."+i.name,
+		tr.Emit(trace.CatTLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 			"deliver", id, cl.String())
 	}
 	fc.release(cl, data)
@@ -591,7 +591,7 @@ func (fc *fcState) release(cl FCClass, data uint64) {
 		if fc.i.link.planActive {
 			fc.refreshLeft = fcRefreshMax
 			if !fc.refreshTmr.Scheduled() {
-				fc.i.eng.ScheduleEventAfter(fc.refreshTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
+				fc.i.link.eng.ScheduleEventAfter(fc.refreshTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
 			}
 		}
 		fc.i.scheduleTx()
@@ -659,7 +659,7 @@ func (fc *fcState) nextInitDLLP() *PciePkt {
 			// Until the peer confirms with InitFC2/UpdateFC, keep
 			// re-sending InitFC1 — the handshake survives DLLP loss.
 			if !fc.init2Seen && !fc.initTmr.Scheduled() {
-				fc.i.eng.ScheduleEventAfter(fc.initTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
+				fc.i.link.eng.ScheduleEventAfter(fc.initTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
 			}
 			return fc.buildDLLP(KindInitFC1, FCClass(cl))
 		}
@@ -697,7 +697,7 @@ func (fc *fcState) recvFC(pp *PciePkt) {
 		i.stats.InitFCRx++
 	}
 	if tr := i.tracer(); tr.On(trace.CatDLLP) {
-		tr.Emit(trace.CatDLLP, uint64(i.eng.Now()), "pcie."+i.name,
+		tr.Emit(trace.CatDLLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 			"rx-"+pp.Kind.String(), pp.FCHdr, cl.String())
 	}
 	if pp.FCHdr == 0 {
@@ -725,7 +725,7 @@ func (fc *fcState) recvFC(pp *PciePkt) {
 		}
 	case KindInitFC2, KindUpdateFC:
 		fc.init2Seen = true
-		i.eng.Deschedule(fc.initTmr)
+		i.link.eng.Deschedule(fc.initTmr)
 	}
 	fc.wake()
 	i.scheduleTx()
@@ -742,7 +742,7 @@ func (fc *fcState) initTimerFire() {
 		fc.pendInit1[cl] = true
 	}
 	fc.i.scheduleTx()
-	fc.i.eng.ScheduleEventAfter(fc.initTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
+	fc.i.link.eng.ScheduleEventAfter(fc.initTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
 }
 
 // refreshFire re-advertises the cumulative grant of every finite class
@@ -765,7 +765,7 @@ func (fc *fcState) refreshFire() {
 		fc.i.scheduleTx()
 	}
 	if fc.refreshLeft > 0 {
-		fc.i.eng.ScheduleEventAfter(fc.refreshTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
+		fc.i.link.eng.ScheduleEventAfter(fc.refreshTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
 	}
 }
 
@@ -777,14 +777,14 @@ func (fc *fcState) refreshFire() {
 func (fc *fcState) noteUpdDropped() {
 	fc.refreshLeft = fcRefreshMax
 	if !fc.refreshTmr.Scheduled() {
-		fc.i.eng.ScheduleEventAfter(fc.refreshTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
+		fc.i.link.eng.ScheduleEventAfter(fc.refreshTmr, fc.i.link.ReplayTimeout(), sim.PriorityTimer)
 	}
 }
 
 // pause deschedules the FC timers for a link-down window.
 func (fc *fcState) pause() {
-	fc.i.eng.Deschedule(fc.initTmr)
-	fc.i.eng.Deschedule(fc.refreshTmr)
+	fc.i.link.eng.Deschedule(fc.initTmr)
+	fc.i.link.eng.Deschedule(fc.refreshTmr)
 }
 
 // resume re-initializes FC after a retrain. Per the spec's DL_Down

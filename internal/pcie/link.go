@@ -104,13 +104,6 @@ type Link struct {
 	eng  *sim.Engine
 	name string
 	cfg  LinkConfig
-	// ord is the builder-assigned creation index (zero for links made
-	// with plain NewLink): the static tie-break the event heap uses
-	// when wire deliveries from different links collide on the full
-	// (when, prio, sched) key. The topology builder assigns the same
-	// ord regardless of partitioning, so serial and parallel runs
-	// resolve those ties identically.
-	ord uint64
 
 	up   *Interface // the end wired to the upstream component (root/switch port)
 	down *Interface // the end wired to the downstream component (device/switch)
@@ -187,8 +180,8 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 	if l.plan != nil && l.plan.Seed != 0 {
 		seed = l.plan.Seed
 	}
-	l.up = newInterface(l, eng, name+".up", seed*2+1)
-	l.down = newInterface(l, eng, name+".down", seed*2+2)
+	l.up = newInterface(l, name+".up", seed*2+1)
+	l.down = newInterface(l, name+".down", seed*2+2)
 	l.up.peer = l.down
 	l.down.peer = l.up
 	if cfg.Degrade == nil && l.plan != nil && len(l.plan.Downtrains) > 0 {
@@ -230,44 +223,6 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 			}
 		}
 	}
-	return l
-}
-
-// NewLinkSplit creates a link whose two ends live on different engines
-// (timing domains): up-side events run on upEng, down-side events on
-// downEng, and every wire crossing is ferried between the domains with
-// sim.CrossSchedule at its full serialization + propagation latency —
-// which is exactly the lookahead the conservative coordinator relies
-// on. Links with a fault plan or a degradation policy mutate shared
-// link state from timer events and must stay within one domain; the
-// partitioner pins them, and this constructor enforces it.
-//
-// ord is the link's creation index in build order, the deterministic
-// tie-break for simultaneous wire deliveries from different links
-// (sim.CrossSchedule's ord).
-func NewLinkSplit(upEng, downEng *sim.Engine, name string, ord uint64, cfg LinkConfig) *Link {
-	if upEng == downEng {
-		// Same domain: an ordinary link (fault plans and degradation
-		// are fine here), but it keeps the builder's ord so
-		// simultaneous deliveries order the same way no matter how the
-		// fabric was partitioned (or not partitioned at all).
-		l := NewLink(upEng, name, cfg)
-		l.ord = ord
-		return l
-	}
-	if cfg.Fault != nil {
-		panic(fmt.Sprintf("pcie: split link %s: fault plans require a single-domain link", name))
-	}
-	if cfg.Degrade != nil {
-		panic(fmt.Sprintf("pcie: split link %s: degradation requires a single-domain link", name))
-	}
-	cfg.applyDefaults()
-	l := &Link{eng: upEng, name: name, cfg: cfg, ord: ord}
-	seed := cfg.Seed
-	l.up = newInterface(l, upEng, name+".up", seed*2+1)
-	l.down = newInterface(l, downEng, name+".down", seed*2+2)
-	l.up.peer = l.down
-	l.down.peer = l.up
 	return l
 }
 
@@ -562,10 +517,6 @@ func (s LinkStats) TimeoutRate() float64 {
 // sequence number, ACK timer).
 type Interface struct {
 	link *Link
-	// eng is the engine this end's events run on: the link's engine on
-	// an ordinary link, this side's domain engine on a split link. All
-	// of an interface's DLL state is owned by this engine's domain.
-	eng  *sim.Engine
 	name string
 	peer *Interface
 
@@ -632,8 +583,8 @@ type Interface struct {
 	consecTimeouts int
 }
 
-func newInterface(l *Link, eng *sim.Engine, name string, seed uint64) *Interface {
-	i := &Interface{link: l, eng: eng, name: name, sendSeq: 1, recvSeq: 1, rng: sim.NewRand(seed)}
+func newInterface(l *Link, name string, seed uint64) *Interface {
+	i := &Interface{link: l, name: name, sendSeq: 1, recvSeq: 1, rng: sim.NewRand(seed)}
 	i.deliverName = name + ".deliver"
 	i.reqretryName = name + ".reqretry"
 	i.resretryName = name + ".respretry"
@@ -641,9 +592,9 @@ func newInterface(l *Link, eng *sim.Engine, name string, seed uint64) *Interface
 	i.master = mem.NewMasterPort(name+".master", (*ifaceMaster)(i))
 	i.reqretryFn = i.slave.SendReqRetry
 	i.resretryFn = i.master.SendRespRetry
-	i.txEv = eng.NewEvent(name+".tx", i.txFire)
-	i.replayTmr = eng.NewEvent(name+".replayTimer", i.replayTimeout)
-	i.ackTmr = eng.NewEvent(name+".ackTimer", i.ackTimerFire)
+	i.txEv = l.eng.NewEvent(name+".tx", i.txFire)
+	i.replayTmr = l.eng.NewEvent(name+".replayTimer", i.replayTimeout)
+	i.ackTmr = l.eng.NewEvent(name+".ackTimer", i.ackTimerFire)
 	i.registerStats()
 	if l.cfg.Credits.Finite() {
 		i.fc = newFCState(i, l.cfg.Credits)
@@ -660,7 +611,7 @@ func newInterface(l *Link, eng *sim.Engine, name string, seed uint64) *Interface
 // incrementing a counter costs exactly what it did before — plus a
 // replay-buffer occupancy gauge and an accept-to-ACK latency histogram.
 func (i *Interface) registerStats() {
-	r := i.eng.Stats()
+	r := i.link.eng.Stats()
 	pfx := "pcie." + i.name + "."
 	s := &i.stats
 	for _, c := range []struct {
@@ -695,26 +646,19 @@ func (i *Interface) registerStats() {
 }
 
 // tracer returns the engine's tracer; nil (a no-op) when tracing is off.
-func (i *Interface) tracer() *trace.Tracer { return i.eng.Tracer() }
+func (i *Interface) tracer() *trace.Tracer { return i.link.eng.Tracer() }
 
 // spanObserve charges one completed attribution segment ending now:
 // the shared seg.<name> histogram, plus a begin/end trace span when
 // the tracer records CatSpan. Call only when spans are armed.
 func (i *Interface) spanObserve(seg **stats.Histogram, name string, begin sim.Tick, id uint64) {
-	i.spanObserveAt(seg, name, begin, i.eng.Now(), id)
-}
-
-// spanObserveAt is spanObserve with an explicit end tick, for segments
-// whose endpoint is known ahead of local time — the cross-domain wire
-// crossing charges its span at transmit time because the sender may
-// not run again at the arrival tick.
-func (i *Interface) spanObserveAt(seg **stats.Histogram, name string, begin, end sim.Tick, id uint64) {
 	if *seg == nil {
-		*seg = i.eng.Seg(name)
+		*seg = i.link.eng.Seg(name)
 	}
-	(*seg).Observe(uint64(end - begin))
+	now := i.link.eng.Now()
+	(*seg).Observe(uint64(now - begin))
 	if tr := i.tracer(); tr.On(trace.CatSpan) {
-		tr.Span(uint64(begin), uint64(end), "pcie."+i.name, name, id, "")
+		tr.Span(uint64(begin), uint64(now), "pcie."+i.name, name, id, "")
 	}
 }
 
@@ -750,7 +694,7 @@ func (i *Interface) admit(tlp *mem.Packet) bool {
 		// of wedging behind a full send queue.
 		i.stats.DeadDiscards++
 		if tr := i.tracer(); tr.On(trace.CatFault) {
-			tr.Emit(trace.CatFault, uint64(i.eng.Now()), "pcie."+i.name,
+			tr.Emit(trace.CatFault, uint64(i.link.eng.Now()), "pcie."+i.name,
 				"dead-discard", tlp.ID, "")
 		}
 		return true
@@ -775,7 +719,7 @@ func (i *Interface) admit(tlp *mem.Packet) bool {
 	if len(i.replayBuf) >= i.link.cfg.ReplayBufferSize {
 		i.stats.Throttled++
 		if tr := i.tracer(); tr.On(trace.CatTLP) {
-			tr.Emit(trace.CatTLP, uint64(i.eng.Now()), "pcie."+i.name,
+			tr.Emit(trace.CatTLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 				"throttle", tlp.ID, "replay buffer full")
 		}
 		return false
@@ -784,7 +728,7 @@ func (i *Interface) admit(tlp *mem.Packet) bool {
 		i.fc.consume(fcClass, fcData)
 	}
 	pp := &PciePkt{Kind: KindTLP, Seq: i.sendSeq, TLP: tlp,
-		acceptedAt: i.eng.Now(), queuedAt: i.eng.Now()}
+		acceptedAt: i.link.eng.Now(), queuedAt: i.link.eng.Now()}
 	// Snapshot the wire size now: by the time a replay reads it, the
 	// wrapped packet may have been turned into its response and recycled.
 	pp.wire = i.link.cfg.Overheads.TLPWireBytes(pp.PayloadBytes())
@@ -794,7 +738,7 @@ func (i *Interface) admit(tlp *mem.Packet) bool {
 	i.stats.TLPsAccepted++
 	i.bufGauge.Set(int64(len(i.replayBuf)))
 	if tr := i.tracer(); tr.On(trace.CatTLP) {
-		tr.Emit(trace.CatTLP, uint64(i.eng.Now()), "pcie."+i.name,
+		tr.Emit(trace.CatTLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 			"accept", tlp.ID, fmt.Sprintf("seq=%d %v", pp.Seq, tlp.Cmd))
 	}
 	i.scheduleTx()
@@ -866,18 +810,18 @@ func (i *Interface) scheduleTx() {
 		(i.fc == nil || !i.fc.dllpPending()) {
 		return
 	}
-	when := i.eng.Now()
+	when := i.link.eng.Now()
 	if i.busyUntil > when {
 		when = i.busyUntil
 	}
-	i.eng.ScheduleEvent(i.txEv, when, sim.PriorityDefault)
+	i.link.eng.ScheduleEvent(i.txEv, when, sim.PriorityDefault)
 }
 
 // txFire transmits the highest-priority pending packet: "(1) ACK DLLP;
 // (2) Retransmitted pcie-pkts; (3) pcie-pkts containing TLPs received
 // from a connected port" (§V-C).
 func (i *Interface) txFire() {
-	eng := i.eng
+	eng := i.link.eng
 	if i.busyUntil > eng.Now() {
 		i.scheduleTx()
 		return
@@ -979,7 +923,7 @@ func (i *Interface) txFire() {
 }
 
 func (i *Interface) transmitTLP(pp *PciePkt) {
-	pp.Corrupted = i.inj.CorruptTLP(i.eng.Now())
+	pp.Corrupted = i.inj.CorruptTLP(i.link.eng.Now())
 	i.transmit(pp)
 	// "The replay timer is started for every packet transmitted on the
 	// unidirectional link" — started, not restarted: while unacked TLPs
@@ -988,13 +932,13 @@ func (i *Interface) transmitTLP(pp *PciePkt) {
 	// congestion behaviour: under refusals, every recovery round costs
 	// a full timeout for at most one replay buffer's worth of TLPs.
 	if !i.replayTmr.Scheduled() {
-		i.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
+		i.link.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
 	}
 }
 
 // transmit serializes pp onto the unidirectional link toward the peer.
 func (i *Interface) transmit(pp *PciePkt) {
-	eng := i.eng
+	eng := i.link.eng
 	cfg := i.link.cfg
 	txTime := WireTime(cfg.Gen, cfg.Width, pp.WireBytes(cfg.Overheads))
 	i.busyUntil = eng.Now() + txTime
@@ -1023,25 +967,7 @@ func (i *Interface) transmit(pp *PciePkt) {
 	cp := i.getFlight()
 	*cp = *pp
 	txStart := eng.Now()
-	if peer := i.peer; peer.eng != eng {
-		// Split link: the two ends run in different timing domains, so
-		// delivery is ferried through the coordinator's inbox and fires
-		// at receiver-local time. The wire span is charged now, on the
-		// sender's engine, with the known (txStart, arrive) endpoints —
-		// same value the serial path records at delivery. The snapshot
-		// buffer migrates: popped from the sender's free list here,
-		// recycled onto the receiver's at delivery, so each list is only
-		// ever touched by its own domain.
-		if eng.SpansOn() && cp.Kind == KindTLP && cp.TLP != nil {
-			i.spanObserveAt(&i.wireSeg, "wire", txStart, arrive, cp.TLP.ID)
-		}
-		eng.CrossSchedule(peer.eng, i.deliverName, arrive, sim.PriorityDelivery, i.link.ord, func() {
-			peer.receive(cp)
-			peer.putFlight(cp)
-		})
-		return
-	}
-	eng.ScheduleAtOrd(i.deliverName, arrive, sim.PriorityDelivery, i.link.ord, func() {
+	eng.ScheduleAt(i.deliverName, arrive, sim.PriorityDelivery, func() {
 		if eng.SpansOn() && cp.Kind == KindTLP && cp.TLP != nil {
 			i.spanObserve(&i.wireSeg, "wire", txStart, cp.TLP.ID)
 		}
@@ -1070,7 +996,7 @@ func (i *Interface) putFlight(pp *PciePkt) {
 // pause freezes the interface for a link-down window: every DLL timer
 // stops, and nothing is transmitted until resume.
 func (i *Interface) pause() {
-	eng := i.eng
+	eng := i.link.eng
 	eng.Deschedule(i.txEv)
 	eng.Deschedule(i.replayTmr)
 	eng.Deschedule(i.ackTmr)
@@ -1089,7 +1015,7 @@ func (i *Interface) resume() {
 	if len(i.replayBuf) > 0 {
 		i.startReplay()
 		if !i.replayTmr.Scheduled() {
-			i.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
+			i.link.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
 		}
 	}
 	if i.lastDelivered > 0 {
@@ -1119,14 +1045,14 @@ func (i *Interface) receive(pp *PciePkt) {
 			i.aer.ReportCorrectable(pci.AERCorrBadDLLP)
 			i.link.noteLinkError()
 			if tr := i.tracer(); tr.On(trace.CatFault) {
-				tr.Emit(trace.CatFault, uint64(i.eng.Now()), "pcie."+i.name,
+				tr.Emit(trace.CatFault, uint64(i.link.eng.Now()), "pcie."+i.name,
 					"bad-dllp", 0, fmt.Sprintf("%v seq=%d", pp.Kind, pp.Seq))
 			}
 			return
 		}
 		i.consecTimeouts = 0
 		if tr := i.tracer(); tr.On(trace.CatDLLP) {
-			tr.Emit(trace.CatDLLP, uint64(i.eng.Now()), "pcie."+i.name,
+			tr.Emit(trace.CatDLLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 				"dllp-rx", 0, fmt.Sprintf("%v seq=%d", pp.Kind, pp.Seq))
 		}
 		if pp.Kind == KindAck {
@@ -1145,7 +1071,7 @@ func (i *Interface) receive(pp *PciePkt) {
 			i.aer.ReportCorrectable(pci.AERCorrBadDLLP)
 			i.link.noteLinkError()
 			if tr := i.tracer(); tr.On(trace.CatFault) {
-				tr.Emit(trace.CatFault, uint64(i.eng.Now()), "pcie."+i.name,
+				tr.Emit(trace.CatFault, uint64(i.link.eng.Now()), "pcie."+i.name,
 					"bad-dllp", 0, fmt.Sprintf("%v %v", pp.Kind, pp.FCCl))
 			}
 			return
@@ -1164,7 +1090,7 @@ func (i *Interface) receiveTLP(pp *PciePkt) {
 		i.aer.ReportCorrectable(pci.AERCorrReceiverError | pci.AERCorrBadTLP)
 		i.link.noteLinkError()
 		if tr := i.tracer(); tr.On(trace.CatFault) {
-			tr.Emit(trace.CatFault, uint64(i.eng.Now()), "pcie."+i.name,
+			tr.Emit(trace.CatFault, uint64(i.link.eng.Now()), "pcie."+i.name,
 				"crc-error", pp.TLP.ID, fmt.Sprintf("seq=%d nak=%d", pp.Seq, i.recvSeq-1))
 		}
 		i.nakPend = true
@@ -1181,7 +1107,7 @@ func (i *Interface) receiveTLP(pp *PciePkt) {
 			// cumulative ACK was corrupted or dropped; re-ACK so the
 			// sender can release its replay buffer.
 			i.ackArmed = true
-			i.eng.ScheduleEventAfter(i.ackTmr, i.link.AckPeriod(), sim.PriorityTimer)
+			i.link.eng.ScheduleEventAfter(i.ackTmr, i.link.AckPeriod(), sim.PriorityTimer)
 		}
 		return
 	}
@@ -1196,7 +1122,7 @@ func (i *Interface) receiveTLP(pp *PciePkt) {
 		i.recvSeq++
 		if !i.ackArmed {
 			i.ackArmed = true
-			i.eng.ScheduleEventAfter(i.ackTmr, i.link.AckPeriod(), sim.PriorityTimer)
+			i.link.eng.ScheduleEventAfter(i.ackTmr, i.link.AckPeriod(), sim.PriorityTimer)
 		}
 		i.fc.rxAccept(pp.TLP)
 		return
@@ -1208,21 +1134,21 @@ func (i *Interface) receiveTLP(pp *PciePkt) {
 		// replay buffer after a timeout."
 		i.stats.DeliveryRefuse++
 		if tr := i.tracer(); tr.On(trace.CatTLP) {
-			tr.Emit(trace.CatTLP, uint64(i.eng.Now()), "pcie."+i.name,
+			tr.Emit(trace.CatTLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 				"refuse", pp.TLP.ID, fmt.Sprintf("seq=%d", pp.Seq))
 		}
 		return
 	}
 	i.stats.TLPsDelivered++
 	if tr := i.tracer(); tr.On(trace.CatTLP) {
-		tr.Emit(trace.CatTLP, uint64(i.eng.Now()), "pcie."+i.name,
+		tr.Emit(trace.CatTLP, uint64(i.link.eng.Now()), "pcie."+i.name,
 			"deliver", pp.TLP.ID, fmt.Sprintf("seq=%d", pp.Seq))
 	}
 	i.lastDelivered = pp.Seq
 	i.recvSeq++
 	if !i.ackArmed {
 		i.ackArmed = true
-		i.eng.ScheduleEventAfter(i.ackTmr, i.link.AckPeriod(), sim.PriorityTimer)
+		i.link.eng.ScheduleEventAfter(i.ackTmr, i.link.AckPeriod(), sim.PriorityTimer)
 	}
 }
 
@@ -1250,9 +1176,9 @@ func (i *Interface) ackTimerFire() {
 // remains" (§V-C).
 func (i *Interface) processAck(seq uint64) {
 	released := i.releaseUpTo(seq)
-	i.eng.Deschedule(i.replayTmr)
+	i.link.eng.Deschedule(i.replayTmr)
 	if len(i.replayBuf) > 0 {
-		i.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
+		i.link.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
 	}
 	if released {
 		i.notifyLocalRetry()
@@ -1271,7 +1197,7 @@ func (i *Interface) processNak(seq uint64) {
 
 func (i *Interface) releaseUpTo(seq uint64) bool {
 	released := false
-	now := i.eng.Now()
+	now := i.link.eng.Now()
 	keep := i.replayBuf[:0]
 	for _, pp := range i.replayBuf {
 		if pp.Seq <= seq {
@@ -1290,7 +1216,7 @@ func (i *Interface) releaseUpTo(seq uint64) bool {
 // notifyLocalRetry wakes local senders that were throttled by a full
 // replay buffer.
 func (i *Interface) notifyLocalRetry() {
-	eng := i.eng
+	eng := i.link.eng
 	if i.reqRetryPending {
 		i.reqRetryPending = false
 		eng.ScheduleAt(i.reqretryName, eng.Now(), sim.PriorityRetry, i.reqretryFn)
@@ -1312,7 +1238,7 @@ func (i *Interface) replayTimeout() {
 	i.stats.Timeouts++
 	i.aer.ReportCorrectable(pci.AERCorrReplayTimeout)
 	if tr := i.tracer(); tr.On(trace.CatFault) {
-		tr.Emit(trace.CatFault, uint64(i.eng.Now()), "pcie."+i.name,
+		tr.Emit(trace.CatFault, uint64(i.link.eng.Now()), "pcie."+i.name,
 			"replay-timeout", 0, fmt.Sprintf("unacked=%d", len(i.replayBuf)))
 	}
 	i.link.noteLinkError()
@@ -1329,12 +1255,12 @@ func (i *Interface) replayTimeout() {
 		}
 	}
 	i.startReplay()
-	i.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
+	i.link.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
 }
 
 func (i *Interface) startReplay() {
 	i.replayQ = append(i.replayQ[:0], i.replayBuf...)
-	now := i.eng.Now()
+	now := i.link.eng.Now()
 	for _, pp := range i.replayQ {
 		pp.replayed = true
 		pp.queuedAt = now

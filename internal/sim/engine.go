@@ -22,12 +22,6 @@ type Engine struct {
 	running bool
 	stopped bool
 
-	// dom is non-nil when the engine is one timing domain of a
-	// Coordinator-driven parallel simulation (see domain.go). It stays
-	// nil in the classic serial configuration, whose behavior is
-	// byte-for-byte unchanged.
-	dom *domainState
-
 	// freeEvents is the free list of recycled one-shot events (see
 	// Schedule): the Engine.Schedule hot path is allocation-free in
 	// steady state. freeLen/recycled are accounting for tests.
@@ -83,19 +77,8 @@ func (e *Engine) ScheduleEvent(ev *Event, when Tick, prio Priority) {
 	if e.prof != nil && e.running && when == e.now {
 		e.prof.noteSameTick(ev.name)
 	}
-	e.insert(ev, when, prio, e.now, 0)
-}
-
-// insert queues ev with an explicit scheduling tick and ordering key.
-// ScheduleEvent stamps e.now and ord 0; the coordinator's inbox drain
-// preserves the sender domain's clock and the sender's static ord
-// instead, so cross-domain events sort against local ones exactly as
-// the serial heap would have sorted them.
-func (e *Engine) insert(ev *Event, when Tick, prio Priority, sched Tick, ord uint64) {
 	ev.when = when
 	ev.prio = prio
-	ev.sched = sched
-	ev.ord = ord
 	ev.seq = e.nextSeq
 	e.nextSeq++
 	e.queue.push(ev)
@@ -140,24 +123,6 @@ func (e *Engine) ScheduleAt(name string, when Tick, prio Priority, fn func()) *E
 	return ev
 }
 
-// ScheduleAtOrd is ScheduleAt with an explicit scheduler-identity key.
-// Schedulers that can collide with a *different* scheduler on the full
-// (when, prio, sched) triple — wire deliveries from parallel links,
-// interrupt dispatch — pass a static non-zero key (their build order)
-// so the tie resolves identically in the serial heap and in the
-// parallel coordinator's inbox drain. See the eventHeap comment.
-func (e *Engine) ScheduleAtOrd(name string, when Tick, prio Priority, ord uint64, fn func()) *Event {
-	ev := e.getOneShot(name, fn)
-	if when < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", ev.name, when, e.now))
-	}
-	if e.prof != nil && e.running && when == e.now {
-		e.prof.noteSameTick(ev.name)
-	}
-	e.insert(ev, when, prio, e.now, ord)
-	return ev
-}
-
 // getOneShot pops a recycled event or allocates a fresh one.
 func (e *Engine) getOneShot(name string, fn func()) *Event {
 	if fn == nil {
@@ -199,15 +164,7 @@ func (e *Engine) Run() uint64 { return e.RunUntil(MaxTick) }
 // RunUntil executes events with timestamps <= limit, then sets the clock
 // to limit if the queue drained early (or to the next event time's floor
 // otherwise). It returns the number of events fired by this call.
-//
-// On the root engine of a parallel simulation the call advances every
-// timing domain through the Coordinator; on any other domain it panics
-// (only the coordinator may drive a non-root domain).
 func (e *Engine) RunUntil(limit Tick) uint64 {
-	if e.dom != nil {
-		e.dom.requireRoot("RunUntil")
-		return e.dom.coord.runUntil(limit)
-	}
 	if e.running {
 		panic("sim: reentrant Run")
 	}
@@ -259,10 +216,6 @@ func (e *Engine) RunUntil(limit Tick) uint64 {
 // fault-injection window is armed at a future tick. It returns the
 // number of events fired by this call.
 func (e *Engine) RunWhile(cond func() bool) uint64 {
-	if e.dom != nil {
-		e.dom.requireRoot("RunWhile")
-		return e.dom.coord.runWhile(cond)
-	}
 	if e.running {
 		panic("sim: reentrant Run")
 	}

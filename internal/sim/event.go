@@ -30,12 +30,10 @@ type Event struct {
 	name string
 	fn   func()
 
-	when  Tick
-	prio  Priority
-	sched Tick   // clock value when the event was scheduled
-	ord   uint64 // static scheduler-identity key; breaks (when, prio, sched) ties
-	seq   uint64 // insertion order; breaks remaining ties deterministically
-	idx   int    // heap index, -1 when not queued
+	when Tick
+	prio Priority
+	seq  uint64 // insertion order; breaks (when, prio) ties deterministically
+	idx  int    // heap index, -1 when not queued
 
 	// oneShot marks a Schedule/ScheduleAt event eligible for recycling
 	// after it fires; nextFree links the engine's free list.
@@ -53,26 +51,9 @@ func (e *Event) Scheduled() bool { return e != nil && e.idx >= 0 }
 // meaningful while Scheduled() is true.
 func (e *Event) When() Tick { return e.when }
 
-// eventHeap is a binary min-heap ordered by (when, prio, sched, ord,
-// seq). It is implemented directly rather than via container/heap to
-// avoid the interface boxing on this extremely hot path.
-//
-// Within one engine the clock is monotonic, so sched never contradicts
-// seq and the order is exactly the classic (when, prio, ord, seq). The
-// sched and ord terms exist for the multi-domain engine. Events ferried
-// across a domain boundary keep the sender's scheduling tick, so
-// same-tick ties between local and remote events resolve by *when each
-// cause happened*, matching the order the serial heap would have
-// produced. ord is a static scheduler-identity key (links pass their
-// build order, interrupt dispatch the IRQ line; everything else leaves
-// it zero): when two different schedulers collide on the full (when,
-// prio, sched) triple — lockstep-symmetric endpoints do this — the
-// serial seq tiebreak encodes unbounded scheduling history that a
-// barrier-synchronized drain cannot reconstruct, so both the serial
-// heap and the parallel drain resolve those ties by ord instead and the
-// orders coincide by construction. Equal-ord ties come from the same
-// scheduler (or from plain un-keyed events), where insertion order is
-// causally reproducible and seq suffices.
+// eventHeap is a binary min-heap ordered by (when, prio, seq). It is
+// implemented directly rather than via container/heap to avoid the
+// interface boxing on this extremely hot path.
 type eventHeap struct {
 	items []*Event
 }
@@ -85,12 +66,6 @@ func (h *eventHeap) less(a, b *Event) bool {
 	}
 	if a.prio != b.prio {
 		return a.prio < b.prio
-	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
-	}
-	if a.ord != b.ord {
-		return a.ord < b.ord
 	}
 	return a.seq < b.seq
 }

@@ -82,25 +82,6 @@ func (p *Profiler) noteSameTick(name string) {
 	p.entry(name).sameTick++
 }
 
-// Merge folds other profilers into p: counts, same-tick counts and
-// wall-clock accumulate per event name. The parallel engine profiles
-// each timing domain separately and merges for reporting; the merged
-// counts equal what the serial run records, since both execute the
-// same events.
-func (p *Profiler) Merge(others ...*Profiler) {
-	for _, o := range others {
-		if o == nil || o == p {
-			continue
-		}
-		for name, oe := range o.entries {
-			e := p.entry(name)
-			e.count += oe.count
-			e.sameTick += oe.sameTick
-			e.wall += oe.wall
-		}
-	}
-}
-
 // Events returns the number of distinct event names profiled.
 func (p *Profiler) Events() int { return len(p.entries) }
 

@@ -97,7 +97,7 @@ func (r *Registry) snapshot(tick uint64) registryDump {
 // sorted by encoding/json, so two identical runs produce byte-identical
 // output.
 func (r *Registry) WriteJSON(w io.Writer, tick uint64) error {
-	b, err := json.MarshalIndent(r.merged().snapshot(tick), "", "  ")
+	b, err := json.MarshalIndent(r.snapshot(tick), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -109,7 +109,6 @@ func (r *Registry) WriteJSON(w io.Writer, tick uint64) error {
 // WriteCSV emits one "kind,name,field,value" row per scalar: counters,
 // gauge value/max, and histogram summary fields. Rows are sorted.
 func (r *Registry) WriteCSV(w io.Writer, tick uint64) error {
-	r = r.merged()
 	var rows []string
 	for n, c := range r.counters {
 		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", n, c.v))
@@ -170,7 +169,6 @@ func (r *Registry) WriteCSV(w io.Writer, tick uint64) error {
 // Histogram quantiles are printed in the unit recorded (ticks = ps for
 // latencies).
 func (r *Registry) WriteText(w io.Writer, tick uint64) error {
-	r = r.merged()
 	if _, err := fmt.Fprintf(w, "stats @ tick %d\n", tick); err != nil {
 		return err
 	}

@@ -143,43 +143,13 @@ func BucketUpperBound(b int) uint64 {
 	return uint64(1)<<uint(b) - 1
 }
 
-// merge folds another histogram's samples into h. Every aggregate —
-// count, sum, min, max, the log2 buckets — is an order-independent
-// multiset reduction, and quantiles are recomputed from the merged
-// buckets, so merging per-domain histograms reproduces the serial
-// histogram byte-for-byte.
-func (h *Histogram) merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
 // Registry holds all metrics of one simulation. It is not safe for
 // concurrent use; the simulator is single-threaded by design.
-//
-// A registry may have child registries attached (the parallel engine's
-// per-domain registries). Children only affect the read surface: every
-// dump and lookup then operates on a merged view aggregating parent
-// and children, constructed so that the merged output is byte-identical
-// to what a single shared registry would have produced.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() uint64
-
-	children []*Registry
 
 	sampler *Sampler
 }
@@ -254,55 +224,8 @@ func (r *Registry) checkFresh(name, kind string) {
 	}
 }
 
-// Attach adds child registries to this registry's read surface. The
-// parallel topology builder attaches every non-root domain's registry
-// to the root's, so dumps and lookups see one simulator-wide view.
-// Attach before running; writers keep using their own registry.
-func (r *Registry) Attach(children ...*Registry) {
-	for _, c := range children {
-		if c == nil || c == r {
-			continue
-		}
-		r.children = append(r.children, c)
-	}
-}
-
-// merged returns r itself when no children are attached (the serial
-// fast path), or a flattened aggregate copy: counters and counter-funcs
-// sum by name, gauges sum their level and take the largest high-water
-// mark, histograms merge bucket-wise. Closure-backed counters are
-// materialized as plain counters, which is indistinguishable at read
-// time. The copy shares the root's sampler (children never have one).
-func (r *Registry) merged() *Registry {
-	if len(r.children) == 0 {
-		return r
-	}
-	m := NewRegistry()
-	m.sampler = r.sampler
-	for _, src := range append([]*Registry{r}, r.children...) {
-		for n, c := range src.counters {
-			m.Counter(n).Add(c.v)
-		}
-		for n, fn := range src.funcs {
-			m.Counter(n).Add(fn())
-		}
-		for n, g := range src.gauges {
-			mg := m.Gauge(n)
-			mg.v += g.v
-			if g.max > mg.max {
-				mg.max = g.max
-			}
-		}
-		for n, h := range src.hists {
-			m.Histogram(n).merge(h)
-		}
-	}
-	return m
-}
-
 // CounterNames returns all counter and counter-func names, sorted.
 func (r *Registry) CounterNames() []string {
-	r = r.merged()
 	names := make([]string, 0, len(r.counters)+len(r.funcs))
 	for n := range r.counters {
 		names = append(names, n)
@@ -316,7 +239,6 @@ func (r *Registry) CounterNames() []string {
 
 // HistogramNames returns all histogram names, sorted.
 func (r *Registry) HistogramNames() []string {
-	r = r.merged()
 	names := make([]string, 0, len(r.hists))
 	for n := range r.hists {
 		names = append(names, n)
@@ -327,7 +249,6 @@ func (r *Registry) HistogramNames() []string {
 
 // GaugeNames returns all gauge names, sorted.
 func (r *Registry) GaugeNames() []string {
-	r = r.merged()
 	names := make([]string, 0, len(r.gauges))
 	for n := range r.gauges {
 		names = append(names, n)
@@ -337,63 +258,26 @@ func (r *Registry) GaugeNames() []string {
 }
 
 // CounterValue returns the value of the named counter or counter-func
-// (false if the name is unknown). With children attached, the value is
-// the sum across all domains.
+// (false if the name is unknown).
 func (r *Registry) CounterValue(name string) (uint64, bool) {
-	var total uint64
-	var found bool
-	for _, src := range r.views() {
-		if c, ok := src.counters[name]; ok {
-			total += c.v
-			found = true
-		}
-		if fn, ok := src.funcs[name]; ok {
-			total += fn()
-			found = true
-		}
+	if c, ok := r.counters[name]; ok {
+		return c.v, true
 	}
-	return total, found
+	if fn, ok := r.funcs[name]; ok {
+		return fn(), true
+	}
+	return 0, false
 }
 
-// GaugeValue returns the value and high-water mark of the named gauge:
-// with children attached, the summed level and the largest mark.
+// GaugeValue returns the value and high-water mark of the named gauge.
 func (r *Registry) GaugeValue(name string) (v, max int64, ok bool) {
-	for _, src := range r.views() {
-		if g, found := src.gauges[name]; found {
-			v += g.v
-			if !ok || g.max > max {
-				max = g.max
-			}
-			ok = true
-		}
+	if g, ok := r.gauges[name]; ok {
+		return g.v, g.max, true
 	}
-	return v, max, ok
+	return 0, 0, false
 }
 
-// FindHistogram returns the named histogram without creating it. With
-// children attached the result is a merged copy; callers treat it as
-// read-only either way.
+// FindHistogram returns the named histogram without creating it.
 func (r *Registry) FindHistogram(name string) *Histogram {
-	if len(r.children) == 0 {
-		return r.hists[name]
-	}
-	var m *Histogram
-	for _, src := range r.views() {
-		if h, ok := src.hists[name]; ok {
-			if m == nil {
-				m = &Histogram{}
-			}
-			m.merge(h)
-		}
-	}
-	return m
-}
-
-// views returns the registries a merged read spans: just r in the
-// serial case, r plus every attached child otherwise.
-func (r *Registry) views() []*Registry {
-	if len(r.children) == 0 {
-		return []*Registry{r}
-	}
-	return append([]*Registry{r}, r.children...)
+	return r.hists[name]
 }

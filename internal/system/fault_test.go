@@ -208,38 +208,3 @@ func TestFaultPlanDeterminism(t *testing.T) {
 			r1, e1, r2, e2, l1, l2)
 	}
 }
-
-// The deprecated single-knob alias still works and is equivalent to
-// the per-link plan it folds into.
-func TestDiskLinkErrorRateAliasEquivalence(t *testing.T) {
-	old := DefaultConfig()
-	old.DiskLinkErrorRate = 0.05
-	old.Seed = 77
-	s1 := New(old)
-	r1, err := s1.RunDD(512 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	neu := DefaultConfig()
-	neu.Seed = 77
-	neu.DiskLinkFault = &fault.Plan{
-		Up:   fault.Profile{Rates: fault.Rates{TLPCorrupt: 0.05}},
-		Down: fault.Profile{Rates: fault.Rates{TLPCorrupt: 0.05}},
-	}
-	s2 := New(neu)
-	r2, err := s2.RunDD(512 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatalf("alias and explicit plan diverge: %v vs %v", r1, r2)
-	}
-	if s1.DiskLink.Down().Stats() != s2.DiskLink.Down().Stats() {
-		t.Fatalf("link stats diverge:\n%+v\n%+v",
-			s1.DiskLink.Down().Stats(), s2.DiskLink.Down().Stats())
-	}
-	if s1.DiskLink.Down().Stats().CRCErrors == 0 {
-		t.Error("error rate must actually inject corruption")
-	}
-}

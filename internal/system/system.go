@@ -86,14 +86,6 @@ type Config struct {
 	// bit-identical to the pre-FC simulator. Receiver-side port buffers
 	// clamp the advertisement (see topo.Config.Credits).
 	Credits pcie.CreditConfig
-	// DiskLinkErrorRate injects TLP corruption on the disk link with
-	// the given per-transmission probability, exercising the NAK path
-	// under real workloads (0 for the validation experiments).
-	//
-	// Deprecated: this is the original single-knob interface, kept as
-	// an alias. DiskLinkFault is the general mechanism; when both are
-	// set, DiskLinkFault wins.
-	DiskLinkErrorRate float64
 	// Seed seeds fault injection.
 	Seed uint64
 
@@ -152,14 +144,6 @@ type Config struct {
 
 	IRQLatency sim.Tick
 	DD         kernel.DDConfig
-
-	// --- parallel engine ---
-
-	// Domains requests the conservative parallel engine with this many
-	// timing domains (topo.Config.Domains). 0 or 1 keeps the serial
-	// engine; configurations the parallel engine cannot express fall
-	// back to serial.
-	Domains int
 }
 
 // DefaultConfig is the calibrated baseline configuration; every
@@ -229,8 +213,6 @@ func (cfg Config) topoConfig() topo.Config {
 
 		IRQLatency: cfg.IRQLatency,
 		DD:         cfg.DD,
-
-		Domains: cfg.Domains,
 	}
 }
 
@@ -261,7 +243,6 @@ func New(cfg Config) *System {
 	sw.Link.Fault = cfg.UplinkFault
 	disk := sw.Ports[0]
 	disk.Link.Width = cfg.DiskLinkWidth
-	disk.Link.ErrorRate = cfg.DiskLinkErrorRate
 	disk.Link.Fault = cfg.DiskLinkFault
 	nic := spec.RootPorts[1]
 	nic.Link.Width = cfg.NICLinkWidth

@@ -124,18 +124,6 @@ type Config struct {
 
 	IRQLatency sim.Tick
 	DD         kernel.DDConfig
-
-	// --- parallel engine ---
-
-	// Domains requests conservative parallel simulation with this many
-	// timing domains (the -par flag): 0 or 1 runs the classic serial
-	// engine. The partitioner cuts the fabric at link boundaries into
-	// at most Domains domains (root substrate in domain 0) and may use
-	// fewer when the topology has fewer cuttable subtrees; topologies
-	// or configurations it cannot cut safely fall back to serial.
-	// Results are deterministic and stats dumps byte-identical to the
-	// serial engine either way.
-	Domains int
 }
 
 // DefaultConfig is the calibrated baseline of DESIGN.md §5 — the same
@@ -269,19 +257,7 @@ type System struct {
 	dpcPorts     []dpcPort
 	hotplugSaved map[pci.BDF]pci.ConfigAccessor
 	booted       bool
-
-	// Parallel-engine state: engines[0] == Eng always; len(engines) is
-	// the domain count (1 = serial). part carries the node→domain map
-	// used while building; pools are the per-domain packet pools
-	// (pools[0] == PktPool).
-	engines []*sim.Engine
-	pools   []*mem.Pool
-	part    *partition
 }
-
-// Domains returns the number of timing domains the system was built
-// with: 1 for the serial engine.
-func (s *System) Domains() int { return len(s.engines) }
 
 // dpcPort pairs a containment-capable fabric port with its BDF, so the
 // recovery manager's interrupt hook can be wired after the kernel
@@ -305,42 +281,12 @@ func Build(spec *Spec, cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	part, err := partitionSpec(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	engines := make([]*sim.Engine, part.domains)
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-	}
-	eng := engines[0]
+	eng := sim.NewEngine()
 	s := &System{
 		Spec: spec, Cfg: cfg, Plan: plan, Eng: eng,
 		PktPool:      mem.NewPool(),
 		linkByName:   map[string]*LinkInst{},
 		hotplugSaved: map[pci.BDF]pci.ConfigAccessor{},
-		engines:      engines,
-		part:         part,
-	}
-	s.pools = make([]*mem.Pool, part.domains)
-	s.pools[0] = s.PktPool
-	if part.domains > 1 {
-		sim.NewCoordinator(part.quantum, engines...)
-		rootReg := eng.Stats()
-		for i := 1; i < part.domains; i++ {
-			// Disjoint packet-ID spaces per domain: IDs only key maps
-			// and traces, so the offset never shows in stats dumps.
-			engines[i].SeedPacketIDs(uint64(i) << 48)
-			rootReg.Attach(engines[i].Stats())
-			s.pools[i] = mem.NewPool()
-		}
-		// Arm the per-pool allocation journals: the fold over them at
-		// dump time reconstructs the counters one shared serial pool
-		// would have reported.
-		for i, p := range s.pools {
-			e := engines[i]
-			p.SetJournal(func() uint64 { return uint64(e.Now()) })
-		}
 	}
 
 	// --- buses and memory ---
@@ -417,7 +363,7 @@ func Build(spec *Spec, cfg Config) (*System, error) {
 		if n == nil {
 			continue
 		}
-		if err := s.buildNode(eng, s.RC.RootPort(i), fmt.Sprintf("rc.rootport%d", i),
+		if err := s.buildNode(s.RC.RootPort(i), fmt.Sprintf("rc.rootport%d", i),
 			pci.NewBDF(0, uint8(i), 0), n, cfg, plan, addAER); err != nil {
 			return nil, err
 		}
@@ -452,28 +398,12 @@ func Build(spec *Spec, cfg Config) (*System, error) {
 		return t
 	})
 
-	// Packet pool accounting. Serial reads the single pool directly;
-	// parallel folds the per-domain allocation journals into the
-	// counters one shared pool would have reported.
-	if part.domains > 1 {
-		poolStats := func() mem.PoolStats { return mem.FoldPoolJournals(s.pools...) }
-		r.CounterFunc("mem.pool.allocs", func() uint64 { return poolStats().Allocs })
-		r.CounterFunc("mem.pool.reuses", func() uint64 { return poolStats().Reuses })
-		r.CounterFunc("mem.pool.releases", func() uint64 { return poolStats().Releases })
-		r.CounterFunc("mem.pool.live", func() uint64 { return poolStats().Live() })
-	} else {
-		r.CounterFunc("mem.pool.allocs", func() uint64 { return s.PktPool.Stats().Allocs })
-		r.CounterFunc("mem.pool.reuses", func() uint64 { return s.PktPool.Stats().Reuses })
-		r.CounterFunc("mem.pool.releases", func() uint64 { return s.PktPool.Stats().Releases })
-		r.CounterFunc("mem.pool.live", func() uint64 { return s.PktPool.Stats().Live() })
-	}
-	r.CounterFunc("sim.events_recycled", func() uint64 {
-		var t uint64
-		for _, e := range s.engines {
-			t += e.Recycled()
-		}
-		return t
-	})
+	// Packet pool accounting.
+	r.CounterFunc("mem.pool.allocs", func() uint64 { return s.PktPool.Stats().Allocs })
+	r.CounterFunc("mem.pool.reuses", func() uint64 { return s.PktPool.Stats().Reuses })
+	r.CounterFunc("mem.pool.releases", func() uint64 { return s.PktPool.Stats().Releases })
+	r.CounterFunc("mem.pool.live", func() uint64 { return s.PktPool.Stats().Live() })
+	r.CounterFunc("sim.events_recycled", func() uint64 { return eng.Recycled() })
 
 	// --- kernel ---
 	s.CPU = kernel.NewCPU(eng, "cpu0")
@@ -507,50 +437,12 @@ func Build(spec *Spec, cfg Config) (*System, error) {
 	return s, nil
 }
 
-// engineFor returns the engine of the timing domain n was assigned
-// to — the root engine for every node in a serial build.
-func (s *System) engineFor(n *Node) *sim.Engine {
-	if s.part == nil || s.part.domOf == nil {
-		return s.Eng
-	}
-	return s.engines[s.part.domOf[n]]
-}
-
-// poolFor returns the packet pool of n's timing domain.
-func (s *System) poolFor(n *Node) *mem.Pool {
-	if s.part == nil || s.part.domOf == nil {
-		return s.PktPool
-	}
-	return s.pools[s.part.domOf[n]]
-}
-
-// raiseIRQ raises a legacy interrupt line from a device running on
-// devEng. In the device's own domain that is the CPU's ordinary
-// TriggerIRQ; from another domain the dispatch is ferried to the
-// CPU's domain pre-delayed by IRQLatency, so the handler fires at
-// exactly the tick serial dispatch would have, with the same
-// scheduling key.
-func (s *System) raiseIRQ(devEng *sim.Engine, line int) {
-	if devEng == s.Eng {
-		s.CPU.TriggerIRQ(line)
-		return
-	}
-	trig := devEng.Now()
-	// kernel.IRQOrd is the dispatch's static tie-break, the same key
-	// the serial TriggerIRQ path stamps, so simultaneous interrupts
-	// from symmetric devices order identically in both configurations.
-	devEng.CrossSchedule(s.Eng, s.CPU.IRQEventName(line), trig+s.Cfg.IRQLatency,
-		sim.PriorityDefault, kernel.IRQOrd(line), func() { s.CPU.DispatchIRQ(line, trig) })
-}
-
 // buildNode instantiates the link from port down to node n and the
 // subtree below it. port is the already-created fabric port (root port
 // or switch downstream port), portAER its stats name, and portBDF the
 // address its virtual bridge occupies (the recovery driver services
-// containment by that address). portEng is the engine of the domain
-// the port above runs in; when n's domain differs, the connecting
-// link is built split across the two engines.
-func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName string, portBDF pci.BDF,
+// containment by that address).
+func (s *System) buildNode(port *pcie.Port, portAERName string, portBDF pci.BDF,
 	n *Node, cfg Config, plan *Plan, addAER func(string, *pci.AER)) error {
 	lcfg := pcie.LinkConfig{
 		Gen:              n.Link.Gen,
@@ -580,13 +472,7 @@ func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName str
 	if n.Link.Credits != nil {
 		lcfg.Credits = *n.Link.Credits
 	}
-	devEng := s.engineFor(n)
-	// len(s.Links)+1 is this link's creation index (1-based so no
-	// builder link shares ord 0 with un-keyed events) — the static
-	// delivery tie-break, identical across serial and parallel builds
-	// (see pcie.NewLinkSplit). NewLinkSplit degenerates to an ordinary
-	// single-engine link when both ends share a domain.
-	link := pcie.NewLinkSplit(portEng, devEng, n.Link.Name, uint64(len(s.Links))+1, lcfg)
+	link := pcie.NewLink(s.Eng, n.Link.Name, lcfg)
 	port.ConnectLink(link)
 	if n.Link.Credits != nil {
 		// ConnectLink advertised the platform-wide credits capped at
@@ -645,7 +531,7 @@ func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName str
 		swCfg.BufferSize = cfg.PortBufferSize
 		swCfg.Credits = cfg.Credits
 		swCfg.EnableDPC = cfg.EnableDPC
-		sw := pcie.NewSwitch(devEng, n.Name, s.PCIHost, swCfg)
+		sw := pcie.NewSwitch(s.Eng, n.Name, s.PCIHost, swCfg)
 		sw.ConnectUpstreamLink(link)
 		if n.Link.Credits != nil {
 			link.Down().AdvertiseCredits(pcie.MinCredits(*n.Link.Credits,
@@ -659,7 +545,7 @@ func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName str
 				continue
 			}
 			name := fmt.Sprintf("%s.downstream%d", n.Name, j)
-			if err := s.buildNode(devEng, sw.DownstreamPort(j), name,
+			if err := s.buildNode(sw.DownstreamPort(j), name,
 				pci.NewBDF(b.Internal, uint8(j), 0), child, cfg, plan, addAER); err != nil {
 				return err
 			}
@@ -670,19 +556,19 @@ func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName str
 		if cfg.DiskDMATimeout != 0 {
 			dcfg.DMATimeout = cfg.DiskDMATimeout
 		}
-		d := devices.NewDisk(devEng, n.Name, dcfg)
+		d := devices.NewDisk(s.Eng, n.Name, dcfg)
 		mem.Connect(link.Down().MasterPort(), d.PIOPort())
 		mem.Connect(d.DMAPort(), link.Down().SlavePort())
 		bdf := plan.EndpointBDF[n]
 		s.PCIHost.Register(bdf, d.ConfigSpace())
 		link.Down().SetAER(d.AER())
 		addAER(n.Name, d.AER())
-		d.UsePacketPool(s.poolFor(n))
+		d.UsePacketPool(s.PktPool)
 		// Legacy INTx delivery; the IRQ line is known only after
 		// enumeration, so resolve the handle by BDF at interrupt time.
 		d.OnInterrupt = func() {
 			if h := s.DiskDriver.HandleFor(bdf); h != nil {
-				s.raiseIRQ(devEng, h.IRQ)
+				s.CPU.TriggerIRQ(h.IRQ)
 			}
 		}
 		s.Disks = append(s.Disks, &DiskInst{Name: n.Name, BDF: bdf, Dev: d})
@@ -691,23 +577,23 @@ func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName str
 		ncfg := cfg.NIC
 		ncfg.PIOLatency = cfg.NICPIOLatency
 		ncfg.MSICapable = cfg.EnableMSI
-		d := devices.NewNIC(devEng, n.Name, ncfg)
+		d := devices.NewNIC(s.Eng, n.Name, ncfg)
 		mem.Connect(link.Down().MasterPort(), d.PIOPort())
 		mem.Connect(d.DMAPort(), link.Down().SlavePort())
 		bdf := plan.EndpointBDF[n]
 		s.PCIHost.Register(bdf, d.ConfigSpace())
 		link.Down().SetAER(d.AER())
 		addAER(n.Name, d.AER())
-		d.UsePacketPool(s.poolFor(n))
+		d.UsePacketPool(s.PktPool)
 		d.OnInterrupt = func() {
 			if h := s.NICDriver.HandleFor(bdf); h != nil {
-				s.raiseIRQ(devEng, h.IRQ)
+				s.CPU.TriggerIRQ(h.IRQ)
 			}
 		}
 		s.NICs = append(s.NICs, &NICInst{Name: n.Name, BDF: bdf, Dev: d})
 
 	case KindTestDev:
-		d := devices.NewTestDev(devEng, n.Name, cfg.TestDev)
+		d := devices.NewTestDev(s.Eng, n.Name, cfg.TestDev)
 		mem.Connect(link.Down().MasterPort(), d.PIOPort())
 		bdf := plan.EndpointBDF[n]
 		s.PCIHost.Register(bdf, d.ConfigSpace())

@@ -10,8 +10,6 @@
 //	       | ":g" INT        generation (1-3)
 //	       | ":c" INT        uniform flow-control credits (per class:
 //	                         INT headers, 4*INT data units)
-//	       | ":d" INT        timing domain (1..par-1) for the parallel
-//	                         engine; the subtree inherits it
 //	       | "@" NAME        explicit node name
 //	kind  := "switch" | "sw" | "disk" | "nic" | "testdev" | "td"
 //
@@ -187,20 +185,8 @@ func (p *parser) node(depth int) ([]*Node, error) {
 				}
 				c := pcie.UniformCredits(v)
 				n.Link.Credits = &c
-			case 'd':
-				p.pos++
-				v, err := p.number()
-				if err != nil {
-					return nil, err
-				}
-				// 0 means "let the partitioner place it"; an explicit
-				// :d0 is more likely a typo than a request for that.
-				if v == 0 {
-					return nil, fmt.Errorf("topo: explicit domain d0 at byte %d", p.pos)
-				}
-				n.Dom = v
 			default:
-				return nil, fmt.Errorf("topo: expected x, g, c, or d after ':' at byte %d: %q", p.pos, p.rest())
+				return nil, fmt.Errorf("topo: expected x, g, or c after ':' at byte %d: %q", p.pos, p.rest())
 			}
 			continue
 		case '@':
@@ -369,7 +355,7 @@ func cloneNode(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	c := &Node{Kind: n.Kind, Dom: n.Dom, Link: n.Link}
+	c := &Node{Kind: n.Kind, Link: n.Link}
 	if len(n.Ports) > 0 {
 		c.Ports = make([]*Node, len(n.Ports))
 		for i, ch := range n.Ports {
@@ -412,9 +398,6 @@ func writePorts(b *strings.Builder, ports []*Node) {
 			if u := c.PostedHdr; u > 0 && *c == pcie.UniformCredits(u) {
 				fmt.Fprintf(b, ":c%d", u)
 			}
-		}
-		if n.Dom != 0 {
-			fmt.Fprintf(b, ":d%d", n.Dom)
 		}
 		if n.Name != "" {
 			fmt.Fprintf(b, "@%s", n.Name)

@@ -67,12 +67,6 @@ type LinkSpec struct {
 type Node struct {
 	Kind Kind   `json:"kind"`
 	Name string `json:"name,omitempty"`
-	// Dom pins this node (and, by inheritance, its subtree) to a
-	// timing domain of the parallel engine: 1..Domains-1 selects a
-	// worker domain, 0 (the default) leaves placement to the
-	// automatic partitioner. The text grammar's ":d N" attribute sets
-	// it. Ignored by serial builds (Config.Domains <= 1).
-	Dom int `json:"dom,omitempty"`
 	// Link describes the upstream link of this node.
 	Link LinkSpec `json:"link,omitempty"`
 	// Ports are the downstream children (switches only). A nil entry is
@@ -199,9 +193,6 @@ func (s *Spec) Validate() error {
 		}
 		if n.Link.ErrorRate < 0 || n.Link.ErrorRate > 1 {
 			return fmt.Errorf("topo: node %q link error rate %g outside [0,1]", n.Name, n.Link.ErrorRate)
-		}
-		if n.Dom < 0 || n.Dom >= MaxBuses {
-			return fmt.Errorf("topo: node %q timing domain %d outside 0..%d", n.Name, n.Dom, MaxBuses-1)
 		}
 		if n.Link.Credits != nil {
 			if err := n.Link.Credits.Validate(); err != nil {

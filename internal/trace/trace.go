@@ -203,26 +203,6 @@ func (t *Tracer) SpanBalance() (begins, ends int) {
 	return begins, ends
 }
 
-// Merge combines per-domain tracers into one tracer for rendering:
-// events are concatenated in tracer (domain) order and stably sorted
-// by tick, so same-tick events from one domain keep their emission
-// order and cross-domain same-tick events order by domain index. The
-// result is deterministic; the mask is the union of the inputs'.
-func Merge(tracers ...*Tracer) *Tracer {
-	m := &Tracer{}
-	for _, t := range tracers {
-		if t == nil {
-			continue
-		}
-		m.mask |= t.mask
-		m.events = append(m.events, t.events...)
-	}
-	sort.SliceStable(m.events, func(i, j int) bool {
-		return m.events[i].Tick < m.events[j].Tick
-	})
-	return m
-}
-
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
 	if t == nil {
