@@ -61,11 +61,24 @@ type line struct {
 	data     []byte
 }
 
+// mshr tracks one outstanding line fill. It rides in its fetch
+// packet's Context, and is recycled with that packet, its data buffer
+// and its targets slice once the fill completes.
 type mshr struct {
 	lineAddr uint64
 	targets  []*mem.Packet
 	victim   *line
 	issuedAt sim.Tick // fetch issue time, for the fill-latency histogram
+	fetch    *mem.Packet
+	buf      []byte
+}
+
+// wbuf is one outstanding writeback: its packet and the line-sized
+// buffer the victim's data is copied into. It rides in the packet's
+// Context and is recycled when the write response returns.
+type wbuf struct {
+	pkt *mem.Packet
+	buf []byte
 }
 
 // Cache is the IOCache. Requests enter at the cpu-side slave port (from
@@ -97,13 +110,16 @@ type Cache struct {
 
 	mshrGauge *stats.Gauge
 	fillLat   *stats.Histogram
+
+	// Free lists of completed fills and writebacks, and the prebuilt
+	// retry wake-up: the miss and writeback paths allocate nothing in
+	// steady state.
+	mshrFree     []*mshr
+	wbFree       []*wbuf
+	reqretryName string
+	reqretryFn   func()
 }
 
-type wbToken struct{ c *Cache }
-type fillToken struct {
-	c *Cache
-	m *mshr
-}
 type passToken struct {
 	c    *Cache
 	orig any
@@ -131,6 +147,8 @@ func New(eng *sim.Engine, name string, cfg Config) *Cache {
 	}
 	c.cpuSide = mem.NewSlavePort(name+".cpu_side", (*cacheCPUSide)(c))
 	c.memSide = mem.NewMasterPort(name+".mem_side", (*cacheMemSide)(c))
+	c.reqretryName = name + ".reqretry"
+	c.reqretryFn = c.cpuSide.SendReqRetry
 	c.respQ = mem.NewSendQueue(eng, name+".respq", 0, func(p *mem.Packet) bool {
 		return c.cpuSide.SendTimingResp(p)
 	})
@@ -286,14 +304,48 @@ func (o *cacheCPUSide) RecvTimingReq(_ *mem.SlavePort, pkt *mem.Packet) bool {
 	v.valid = false
 	v.dirty = false
 	v.reserved = true
-	m := &mshr{lineAddr: la, targets: []*mem.Packet{pkt}, victim: v, issuedAt: c.eng.Now()}
+	m := c.getMSHR()
+	m.lineAddr = la
+	m.targets = append(m.targets, pkt)
+	m.victim = v
+	m.issuedAt = c.eng.Now()
 	c.mshrs[la] = m
 	c.mshrGauge.Set(int64(len(c.mshrs)))
-	fetch := mem.NewPacket(mem.ReadReq, la, c.cfg.LineSize)
-	fetch.Data = make([]byte, c.cfg.LineSize)
-	fetch.Context = fillToken{c, m}
-	c.memQ.Push(fetch, c.eng.Now()+c.cfg.TagLatency)
+	m.fetch.Reinit(mem.ReadReq, la, c.cfg.LineSize)
+	clear(m.buf)
+	m.fetch.Data = m.buf
+	m.fetch.Context = m
+	c.memQ.Push(m.fetch, c.eng.Now()+c.cfg.TagLatency)
 	return true
+}
+
+// getMSHR pops a recycled MSHR, or allocates one with its fetch packet
+// and data buffer.
+func (c *Cache) getMSHR() *mshr {
+	if n := len(c.mshrFree); n > 0 {
+		m := c.mshrFree[n-1]
+		c.mshrFree[n-1] = nil
+		c.mshrFree = c.mshrFree[:n-1]
+		return m
+	}
+	return &mshr{
+		fetch: mem.NewPacket(mem.ReadReq, 0, c.cfg.LineSize),
+		buf:   make([]byte, c.cfg.LineSize),
+	}
+}
+
+// getWB pops a recycled writeback, or allocates one.
+func (c *Cache) getWB() *wbuf {
+	if n := len(c.wbFree); n > 0 {
+		w := c.wbFree[n-1]
+		c.wbFree[n-1] = nil
+		c.wbFree = c.wbFree[:n-1]
+		return w
+	}
+	return &wbuf{
+		pkt: mem.NewPacket(mem.WriteReq, 0, c.cfg.LineSize),
+		buf: make([]byte, c.cfg.LineSize),
+	}
 }
 
 func (o *cacheCPUSide) RecvRespRetry(*mem.SlavePort) { o.c().respQ.RetryReceived() }
@@ -355,12 +407,14 @@ func (c *Cache) install(l *line, lineAddr uint64) {
 func (c *Cache) issueWriteback(v *line) {
 	c.writebacks++
 	c.writebackCount++
-	wb := mem.NewPacket(mem.WriteReq, v.tag, c.cfg.LineSize)
+	w := c.getWB()
+	w.pkt.Reinit(mem.WriteReq, v.tag, c.cfg.LineSize)
 	if v.data != nil {
-		wb.Data = append([]byte(nil), v.data...)
+		copy(w.buf, v.data)
+		w.pkt.Data = w.buf
 	}
-	wb.Context = wbToken{c}
-	c.memQ.Push(wb, c.eng.Now()+c.cfg.TagLatency)
+	w.pkt.Context = w
+	c.memQ.Push(w.pkt, c.eng.Now()+c.cfg.TagLatency)
 	v.valid = false
 	v.dirty = false
 }
@@ -371,7 +425,7 @@ func (c *Cache) retryIfNeeded() {
 		return
 	}
 	c.needsRetry = false
-	c.eng.ScheduleAt(c.name+".reqretry", c.eng.Now(), sim.PriorityRetry, c.cpuSide.SendReqRetry)
+	c.eng.ScheduleAt(c.reqretryName, c.eng.Now(), sim.PriorityRetry, c.reqretryFn)
 }
 
 // cacheMemSide adapts Cache to mem.MasterOwner.
@@ -382,16 +436,17 @@ func (o *cacheMemSide) c() *Cache { return (*Cache)(o) }
 func (o *cacheMemSide) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) bool {
 	c := o.c()
 	switch tok := pkt.Context.(type) {
-	case wbToken:
+	case *wbuf:
 		c.writebacks--
+		c.wbFree = append(c.wbFree, tok)
 		c.retryIfNeeded()
 		return true
 	case passToken:
 		pkt.Context = tok.orig
 		c.respQ.Push(pkt, c.eng.Now())
 		return true
-	case fillToken:
-		m := tok.m
+	case *mshr:
+		m := tok
 		delete(c.mshrs, m.lineAddr)
 		c.mshrGauge.Set(int64(len(c.mshrs)))
 		c.fillLat.Observe(uint64(c.eng.Now() - m.issuedAt))
@@ -410,6 +465,10 @@ func (o *cacheMemSide) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) bool {
 			}
 			c.respQ.Push(target.MakeResponse(), c.eng.Now())
 		}
+		clear(m.targets)
+		m.targets = m.targets[:0]
+		m.victim = nil
+		c.mshrFree = append(c.mshrFree, m)
 		c.retryIfNeeded()
 		return true
 	default:

@@ -240,3 +240,52 @@ func TestCacheHeavyDMAWriteStream(t *testing.T) {
 		t.Errorf("writebacks = %d, want %d", wbs, want)
 	}
 }
+
+// zeroAllocSrc sends one reusable packet and counts completions,
+// allocating nothing itself.
+type zeroAllocSrc struct {
+	port  *mem.MasterPort
+	resps int
+}
+
+func (s *zeroAllocSrc) RecvTimingResp(*mem.MasterPort, *mem.Packet) bool {
+	s.resps++
+	return true
+}
+
+func (s *zeroAllocSrc) RecvReqRetry(*mem.MasterPort) {}
+
+// TestCacheSteadyStateZeroAlloc pins the recycled miss and writeback
+// paths: once warm, a partial-line write that misses — MSHR, fill
+// fetch, eviction writeback of the dirty victim — allocates nothing.
+func TestCacheSteadyStateZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, "iocache", Default())
+	m := memctrl.New(eng, "dram", mem.Range(0, 1<<30), memctrl.Config{Latency: 50 * sim.Nanosecond})
+	src := &zeroAllocSrc{}
+	src.port = mem.NewMasterPort("dev", src)
+	mem.Connect(src.port, c.CPUSidePort())
+	mem.Connect(c.MemSidePort(), m.Port())
+	pkt := mem.NewPacket(mem.WriteReq, 0, 8)
+	var line uint64
+	cycle := func() {
+		// Walk far more lines than the cache holds, so every write
+		// misses and evicts a dirty line.
+		line = (line + 1) % 1024
+		pkt.Reinit(mem.WriteReq, line*64, 8)
+		if !src.port.SendTimingReq(pkt) {
+			t.Fatal("cache refused a request with no miss outstanding")
+		}
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // fill the cache with dirty lines, warm the free lists
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("steady-state miss+writeback costs %v allocs/op, want 0", n)
+	}
+	_, misses, writebacks, _, _ := c.Stats()
+	if misses != uint64(src.resps) || writebacks < 500 {
+		t.Fatalf("misses=%d writebacks=%d completions=%d: not the miss+writeback path", misses, writebacks, src.resps)
+	}
+}

@@ -144,6 +144,17 @@ func NewPacket(cmd Cmd, addr uint64, size int) *Packet {
 	return &Packet{Cmd: cmd, Addr: addr, Size: size, BusNum: NoBus}
 }
 
+// Reinit turns a packet whose response has come home — every route hop
+// popped — back into a fresh request, exactly as NewPacket builds one
+// but keeping the route stack's backing array. It serves components
+// that recycle their own internally issued packets outside any Pool.
+func (p *Packet) Reinit(cmd Cmd, addr uint64, size int) {
+	if len(p.route) != 0 {
+		panic(fmt.Sprintf("mem: Reinit of packet %d with %d unpopped route hops", p.ID, len(p.route)))
+	}
+	*p = Packet{Cmd: cmd, Addr: addr, Size: size, BusNum: NoBus, route: p.route}
+}
+
 // IDSource hands out packet IDs. sim.Engine implements it; binding
 // allocators to the engine makes IDs unique across every requestor of
 // one simulation (monotonic per engine, no global state), so a trace

@@ -319,6 +319,11 @@ type fcState struct {
 	refreshTmr  *sim.Event // re-advertises grants under a fault plan
 	refreshLeft int
 
+	// dllp is the one FC DLLP being transmitted: transmit snapshots it
+	// into the in-flight record, so a single buffer serves every
+	// InitFC/UpdateFC.
+	dllp PciePkt
+
 	heldGauge [fcNumClasses]*stats.Gauge
 	rxqGauge  *stats.Gauge
 	stallHist [fcNumClasses]*stats.Histogram
@@ -644,10 +649,12 @@ func (fc *fcState) updPending() bool {
 	return fc.pendUpd[0] || fc.pendUpd[1] || fc.pendUpd[2]
 }
 
-// buildDLLP assembles one FC DLLP for cl with the current grants.
+// buildDLLP assembles one FC DLLP for cl with the current grants in
+// the interface's DLLP buffer; the result is valid until the next call.
 func (fc *fcState) buildDLLP(kind PktKind, cl FCClass) *PciePkt {
 	hdr, data := fc.grantValues(cl)
-	return &PciePkt{Kind: kind, FCCl: cl, FCHdr: hdr, FCData: data}
+	fc.dllp = PciePkt{Kind: kind, FCCl: cl, FCHdr: hdr, FCData: data}
+	return &fc.dllp
 }
 
 // nextInitDLLP dequeues the next pending InitFC1/InitFC2; it must only

@@ -180,28 +180,7 @@ func TestFCLegacyInfiniteCredits(t *testing.T) {
 // back to the full advertised pool.
 func TestFCCreditAccountingProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := DefaultLinkConfig()
-		cfg.ReplayBufferSize = 1 + rng.Intn(6)
-		cfg.Credits = UniformCredits(1 + rng.Intn(5))
-		if rng.Intn(3) == 0 {
-			// Non-uniform: pinch a single class.
-			cfg.Credits = CreditConfig{
-				PostedHdr:    1 + rng.Intn(3),
-				NonPostedHdr: 1 + rng.Intn(3),
-				CplHdr:       1 + rng.Intn(3),
-			}
-		}
-		if rng.Intn(2) == 0 {
-			cfg.Fault = fault.CorruptionPlan(0.1)
-			cfg.Seed = uint64(seed)
-		}
-		r := newLinkRig(cfg, sim.Tick(rng.Intn(200))*sim.Nanosecond, 0)
-		r.resp.RefuseRequests = rng.Intn(20)
-		n := 20 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			r.req.Write(uint64(i)*64, 64)
-		}
+		r, n := creditPropertyRig(seed)
 		r.eng.Run()
 		if len(r.resp.Received) != n || len(r.req.Completions) != n {
 			return false
@@ -229,6 +208,31 @@ func TestFCCreditAccountingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// creditPropertyRig builds a random credit-starved link — tiny or
+// lopsided credit pools, optional corruption, device refusals — with n
+// writes queued.
+func creditPropertyRig(seed int64) (*linkRig, int) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := DefaultLinkConfig()
+	cfg.ReplayBufferSize = 1 + rng.Intn(6)
+	cfg.Credits = UniformCredits(1 + rng.Intn(5))
+	if rng.Intn(3) == 0 {
+		// Non-uniform: pinch a single class.
+		cfg.Credits = CreditConfig{
+			PostedHdr:    1 + rng.Intn(3),
+			NonPostedHdr: 1 + rng.Intn(3),
+			CplHdr:       1 + rng.Intn(3),
+		}
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Fault = fault.CorruptionPlan(0.1)
+		cfg.Seed = uint64(seed)
+	}
+	r := newLinkRig(cfg, sim.Tick(rng.Intn(200))*sim.Nanosecond, 0)
+	r.resp.RefuseRequests = rng.Intn(20)
+	return r, r.queueWrites(20 + rng.Intn(40))
 }
 
 // TestFCUpdateFCDropRecovery: a scripted drop of the first UpdateFC

@@ -26,12 +26,33 @@ func TestDegradeLadderScriptedDowntrains(t *testing.T) {
 		102 * sim.Microsecond,
 	}}
 	r := newLinkRig(cfg, 10*sim.Nanosecond, 0)
+	// The timer intervals are cached per link; after every downtrain
+	// and uptrain they must equal a fresh evaluation at the new
+	// Gen/Width.
+	var timerChecks int
+	r.link.SetNotify(func(n LinkNotice) {
+		if n != NoticeRetrained {
+			return
+		}
+		l := r.link
+		g, w, c := l.CurrentGen(), l.CurrentWidth(), l.Config()
+		if got, want := l.ReplayTimeout(), ReplayTimeout(g, w, c.MaxPayload, c.Overheads); got != want {
+			t.Errorf("%v x%d: cached ReplayTimeout %v, fresh %v", g, w, got, want)
+		}
+		if got, want := l.AckPeriod(), AckPeriodClamped(g, w, c.MaxPayload, c.Overheads); got != want {
+			t.Errorf("%v x%d: cached AckPeriod %v, fresh %v", g, w, got, want)
+		}
+		timerChecks++
+	})
 	const n = 60
 	for i := 0; i < n; i++ {
 		r.req.Write(uint64(i)*64, 64)
 	}
 	r.eng.Run()
 	checkExactlyOnce(t, r, n)
+	if timerChecks != 6 {
+		t.Errorf("checked the timers after %d retrains, want 6", timerChecks)
+	}
 	if got := r.link.Downtrains(); got != 3 {
 		t.Errorf("downtrains = %d, want 3", got)
 	}
@@ -172,36 +193,7 @@ func TestFCReinitAfterRetrain(t *testing.T) {
 // back to the full advertisement and delivery is exactly-once.
 func TestFCCreditAccountingAcrossRetrainsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := DefaultLinkConfig()
-		cfg.Width = []int{1, 2, 4, 8}[rng.Intn(4)]
-		cfg.ReplayBufferSize = 1 + rng.Intn(6)
-		cfg.Credits = UniformCredits(1 + rng.Intn(5))
-		deg := DefaultDegradeConfig()
-		deg.UpgradeBackoff = sim.Tick(50+rng.Intn(200)) * sim.Microsecond
-		deg.MaxUpgradeBackoff = deg.UpgradeBackoff * 4
-		cfg.Degrade = &deg
-		plan := &fault.Plan{Seed: uint64(seed)*2 + 1}
-		cycles := 1 + rng.Intn(4)
-		at := sim.Tick(2+rng.Intn(5)) * sim.Microsecond
-		for c := 0; c < cycles; c++ {
-			if rng.Intn(2) == 0 {
-				plan.Downtrains = append(plan.Downtrains, at)
-			} else {
-				plan.Windows = append(plan.Windows, fault.Window{
-					At: at, Duration: sim.Tick(1+rng.Intn(4)) * sim.Microsecond,
-				})
-			}
-			at += sim.Tick(30+rng.Intn(60)) * sim.Microsecond
-		}
-		plan.RetrainLatency = sim.Tick(1+rng.Intn(3)) * sim.Microsecond
-		cfg.Fault = plan
-		r := newLinkRig(cfg, sim.Tick(rng.Intn(200))*sim.Nanosecond, 0)
-		r.resp.RefuseRequests = rng.Intn(10)
-		n := 20 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			r.req.Write(uint64(i)*64, 64)
-		}
+		r, n := retrainPropertyRig(seed)
 		r.eng.Run()
 		if len(r.resp.Received) != n || len(r.req.Completions) != n {
 			return false
@@ -230,4 +222,37 @@ func TestFCCreditAccountingAcrossRetrainsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// retrainPropertyRig builds a random FC link through several retrain
+// cycles — forced downtrains and fault windows, with upgrade retrains
+// on backoff — with n writes queued.
+func retrainPropertyRig(seed int64) (*linkRig, int) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := DefaultLinkConfig()
+	cfg.Width = []int{1, 2, 4, 8}[rng.Intn(4)]
+	cfg.ReplayBufferSize = 1 + rng.Intn(6)
+	cfg.Credits = UniformCredits(1 + rng.Intn(5))
+	deg := DefaultDegradeConfig()
+	deg.UpgradeBackoff = sim.Tick(50+rng.Intn(200)) * sim.Microsecond
+	deg.MaxUpgradeBackoff = deg.UpgradeBackoff * 4
+	cfg.Degrade = &deg
+	plan := &fault.Plan{Seed: uint64(seed)*2 + 1}
+	cycles := 1 + rng.Intn(4)
+	at := sim.Tick(2+rng.Intn(5)) * sim.Microsecond
+	for c := 0; c < cycles; c++ {
+		if rng.Intn(2) == 0 {
+			plan.Downtrains = append(plan.Downtrains, at)
+		} else {
+			plan.Windows = append(plan.Windows, fault.Window{
+				At: at, Duration: sim.Tick(1+rng.Intn(4)) * sim.Microsecond,
+			})
+		}
+		at += sim.Tick(30+rng.Intn(60)) * sim.Microsecond
+	}
+	plan.RetrainLatency = sim.Tick(1+rng.Intn(3)) * sim.Microsecond
+	cfg.Fault = plan
+	r := newLinkRig(cfg, sim.Tick(rng.Intn(200))*sim.Nanosecond, 0)
+	r.resp.RefuseRequests = rng.Intn(10)
+	return r, r.queueWrites(20 + rng.Intn(40))
 }

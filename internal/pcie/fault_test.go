@@ -99,34 +99,7 @@ func TestLinkDownRetrainMidStream(t *testing.T) {
 // the run terminates (no loss, no duplication, no deadlock).
 func TestLinkExactlyOnceUnderFaultsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := DefaultLinkConfig()
-		cfg.ReplayBufferSize = 1 + rng.Intn(6)
-		cfg.Width = []int{1, 2, 4, 8}[rng.Intn(4)]
-		rates := fault.Rates{
-			TLPCorrupt:  float64(rng.Intn(3)) * 0.08,
-			DLLPCorrupt: float64(rng.Intn(3)) * 0.08,
-			Drop:        float64(rng.Intn(3)) * 0.05,
-		}
-		plan := &fault.Plan{
-			Seed: uint64(seed)*2 + 1,
-			Up:   fault.Profile{Rates: rates},
-			Down: fault.Profile{Rates: rates},
-		}
-		if rng.Intn(2) == 0 {
-			plan.Windows = []fault.Window{{
-				At:       sim.Tick(1+rng.Intn(10)) * sim.Microsecond,
-				Duration: sim.Tick(1+rng.Intn(5)) * sim.Microsecond,
-			}}
-			plan.RetrainLatency = sim.Tick(rng.Intn(3)) * sim.Microsecond
-		}
-		cfg.Fault = plan
-		r := newLinkRig(cfg, sim.Tick(rng.Intn(200))*sim.Nanosecond, 0)
-		r.resp.RefuseRequests = rng.Intn(20)
-		n := 20 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			r.req.Write(uint64(i)*64, 64)
-		}
+		r, n := faultPropertyRig(seed)
 		r.eng.Run()
 		if len(r.resp.Received) != n || len(r.req.Completions) != n {
 			return false
@@ -141,6 +114,36 @@ func TestLinkExactlyOnceUnderFaultsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// faultPropertyRig builds a random faulted link — corruption, drops, an
+// optional link-down window, device refusals — with n writes queued.
+func faultPropertyRig(seed int64) (*linkRig, int) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := DefaultLinkConfig()
+	cfg.ReplayBufferSize = 1 + rng.Intn(6)
+	cfg.Width = []int{1, 2, 4, 8}[rng.Intn(4)]
+	rates := fault.Rates{
+		TLPCorrupt:  float64(rng.Intn(3)) * 0.08,
+		DLLPCorrupt: float64(rng.Intn(3)) * 0.08,
+		Drop:        float64(rng.Intn(3)) * 0.05,
+	}
+	plan := &fault.Plan{
+		Seed: uint64(seed)*2 + 1,
+		Up:   fault.Profile{Rates: rates},
+		Down: fault.Profile{Rates: rates},
+	}
+	if rng.Intn(2) == 0 {
+		plan.Windows = []fault.Window{{
+			At:       sim.Tick(1+rng.Intn(10)) * sim.Microsecond,
+			Duration: sim.Tick(1+rng.Intn(5)) * sim.Microsecond,
+		}}
+		plan.RetrainLatency = sim.Tick(rng.Intn(3)) * sim.Microsecond
+	}
+	cfg.Fault = plan
+	r := newLinkRig(cfg, sim.Tick(rng.Intn(200))*sim.Nanosecond, 0)
+	r.resp.RefuseRequests = rng.Intn(20)
+	return r, r.queueWrites(20 + rng.Intn(40))
 }
 
 // Faulted runs replay bit-identically: the same plan and seed produce

@@ -113,6 +113,12 @@ type Link struct {
 	state      linkState
 	retrains   uint64
 
+	// replayTO and ackPer cache ReplayTimeout and AckPeriod for the
+	// current Gen/Width: every transmitted TLP and every ACK arm reads
+	// them. retime refreshes both wherever Gen/Width change.
+	replayTO sim.Tick
+	ackPer   sim.Tick
+
 	// deg is the adaptive-degradation ladder; nil when unarmed.
 	deg *degradeState
 
@@ -172,6 +178,7 @@ func (l *Link) notifyAll(n LinkNotice) {
 func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 	cfg.applyDefaults()
 	l := &Link{eng: eng, name: name, cfg: cfg, plan: cfg.Fault}
+	l.retime()
 	if err := l.plan.Normalize(); err != nil {
 		panic(fmt.Sprintf("pcie: link %s: %v", name, err))
 	}
@@ -263,13 +270,17 @@ func (l *Link) deadThreshold() int {
 }
 
 // ReplayTimeout returns the link's replay timer interval.
-func (l *Link) ReplayTimeout() sim.Tick {
-	return ReplayTimeout(l.cfg.Gen, l.cfg.Width, l.cfg.MaxPayload, l.cfg.Overheads)
-}
+func (l *Link) ReplayTimeout() sim.Tick { return l.replayTO }
 
 // AckPeriod returns the link's ACK batching timer interval.
-func (l *Link) AckPeriod() sim.Tick {
-	return AckPeriodClamped(l.cfg.Gen, l.cfg.Width, l.cfg.MaxPayload, l.cfg.Overheads)
+func (l *Link) AckPeriod() sim.Tick { return l.ackPer }
+
+// retime recomputes the cached timer intervals from the current
+// Gen/Width.
+func (l *Link) retime() {
+	c := &l.cfg
+	l.replayTO = ReplayTimeout(c.Gen, c.Width, c.MaxPayload, c.Overheads)
+	l.ackPer = AckPeriodClamped(c.Gen, c.Width, c.MaxPayload, c.Overheads)
 }
 
 // AckPeriodClamped is AckTimerPeriod floored at one symbol time so
@@ -357,10 +368,7 @@ func (l *Link) flushBothEnds() {
 	for _, i := range []*Interface{l.up, l.down} {
 		i.pause()
 		i.stats.FlushedTLPs += uint64(len(i.replayBuf))
-		i.replayBuf = i.replayBuf[:0]
-		i.bufGauge.Set(0)
-		i.freshQ = i.freshQ[:0]
-		i.replayQ = i.replayQ[:0]
+		i.dropTX()
 		i.ackPend, i.nakPend = false, false
 		if i.fc != nil {
 			i.fc.flushDead()
@@ -435,13 +443,33 @@ func (l *Link) Reinserts() uint64 { return l.reinserts }
 func (i *Interface) resetDLL() {
 	i.sendSeq, i.recvSeq = 1, 1
 	i.lastDelivered = 0
-	i.replayBuf = i.replayBuf[:0]
-	i.freshQ = i.freshQ[:0]
-	i.replayQ = i.replayQ[:0]
+	i.dropTX()
 	i.ackPend, i.nakPend = false, false
 	i.busyUntil = 0
 	i.consecTimeouts = 0
+}
+
+// dropTX empties the replay buffer and both transmit queues, returning
+// every entry to the free list exactly once: entries only the queues
+// still hold (already ACKed) go back as their last slot is dropped,
+// the replay buffer's own entries after that.
+func (i *Interface) dropTX() {
+	i.dropQueue(&i.freshQ)
+	i.dropQueue(&i.replayQ)
+	for k, pp := range i.replayBuf {
+		pp.acked = true
+		i.putPkt(pp)
+		i.replayBuf[k] = nil
+	}
+	i.replayBuf = i.replayBuf[:0]
 	i.bufGauge.Set(0)
+}
+
+// dropQueue empties one transmit queue.
+func (i *Interface) dropQueue(q *txQueue) {
+	for q.len() > 0 {
+		i.maybeFree(q.pop())
+	}
 }
 
 // LinkStats counts per-interface protocol events.
@@ -526,8 +554,8 @@ type Interface struct {
 	// --- TX state ---
 	sendSeq   uint64 // next sequence number to assign (first TLP gets 1)
 	replayBuf []*PciePkt
-	freshQ    []*PciePkt
-	replayQ   []*PciePkt
+	freshQ    txQueue
+	replayQ   txQueue
 	ackPend   bool
 	nakPend   bool
 	nakSeq    uint64
@@ -553,15 +581,17 @@ type Interface struct {
 	aer   *pci.AER        // AER capability of the attached component, if any
 	stats LinkStats
 
-	// Pre-built event names and the in-flight snapshot free list: both
-	// sit on the per-packet transmit path, where a fmt/concat or a
-	// heap-allocated copy per wire crossing dominates the profile.
+	// Pre-built event names and callbacks, and the free lists of
+	// in-flight records and replay-buffer entries: all sit on the
+	// per-packet path, where a fmt/concat, a closure or a fresh object
+	// per TLP would dominate the profile.
 	deliverName  string
 	reqretryName string
 	resretryName string
 	reqretryFn   func()
 	resretryFn   func()
-	flightFree   []*PciePkt
+	flightFree   []*flight
+	pktFree      []*PciePkt
 
 	// Registry hooks, resolved at construction: replay-buffer
 	// occupancy and accept-to-release (ACK) latency in ticks. The
@@ -727,14 +757,15 @@ func (i *Interface) admit(tlp *mem.Packet) bool {
 	if i.fc != nil {
 		i.fc.consume(fcClass, fcData)
 	}
-	pp := &PciePkt{Kind: KindTLP, Seq: i.sendSeq, TLP: tlp,
+	pp := i.getPkt()
+	*pp = PciePkt{Kind: KindTLP, Seq: i.sendSeq, TLP: tlp,
 		acceptedAt: i.link.eng.Now(), queuedAt: i.link.eng.Now()}
 	// Snapshot the wire size now: by the time a replay reads it, the
 	// wrapped packet may have been turned into its response and recycled.
 	pp.wire = i.link.cfg.Overheads.TLPWireBytes(pp.PayloadBytes())
 	i.sendSeq++
 	i.replayBuf = append(i.replayBuf, pp)
-	i.freshQ = append(i.freshQ, pp)
+	i.freshQ.push(pp)
 	i.stats.TLPsAccepted++
 	i.bufGauge.Set(int64(len(i.replayBuf)))
 	if tr := i.tracer(); tr.On(trace.CatTLP) {
@@ -806,7 +837,7 @@ func (i *Interface) scheduleTx() {
 	if i.txEv.Scheduled() {
 		return
 	}
-	if !i.ackPend && !i.nakPend && len(i.replayQ) == 0 && len(i.freshQ) == 0 &&
+	if !i.ackPend && !i.nakPend && i.replayQ.len() == 0 && i.freshQ.len() == 0 &&
 		(i.fc == nil || !i.fc.dllpPending()) {
 		return
 	}
@@ -883,12 +914,12 @@ func (i *Interface) txFire() {
 			pp.Corrupted = i.inj.CorruptDLLP(eng.Now())
 			i.transmit(pp)
 		}
-	case len(i.replayQ) > 0:
-		pp := i.replayQ[0]
-		i.replayQ = i.replayQ[1:]
+	case i.replayQ.len() > 0:
+		pp := i.replayQ.pop()
 		if pp.acked {
 			// Released by an ACK while queued; skip without occupying
 			// the wire.
+			i.maybeFree(pp)
 			i.scheduleTx()
 			return
 		}
@@ -902,10 +933,10 @@ func (i *Interface) txFire() {
 			i.spanObserve(&i.replaySeg, "replay-wait", pp.queuedAt, pp.TLP.ID)
 		}
 		i.transmitTLP(pp)
-	case len(i.freshQ) > 0:
-		pp := i.freshQ[0]
-		i.freshQ = i.freshQ[1:]
+	case i.freshQ.len() > 0:
+		pp := i.freshQ.pop()
 		if pp.acked {
+			i.maybeFree(pp)
 			i.scheduleTx()
 			return
 		}
@@ -958,39 +989,117 @@ func (i *Interface) transmit(pp *PciePkt) {
 	}
 	arrive := i.busyUntil + cfg.PropDelay
 	// Deliver a snapshot: the original may be re-corrupted by a later
-	// retransmission while this copy is still in flight. Snapshots are
-	// recycled through a per-interface free list once received — the
-	// receiver never retains them (it keeps only the wrapped TLP).
-	// txStart is captured for the wire attribution segment
-	// (serialization + propagation); the capture rides the closure that
-	// exists anyway, so unarmed runs pay nothing extra.
-	cp := i.getFlight()
-	*cp = *pp
-	txStart := eng.Now()
-	eng.ScheduleAt(i.deliverName, arrive, sim.PriorityDelivery, func() {
-		if eng.SpansOn() && cp.Kind == KindTLP && cp.TLP != nil {
-			i.spanObserve(&i.wireSeg, "wire", txStart, cp.TLP.ID)
-		}
-		i.peer.receive(cp)
-		i.putFlight(cp)
-	})
+	// retransmission while this copy is still in flight.
+	f := i.getFlight()
+	f.pkt = *pp
+	f.txStart = eng.Now()
+	eng.ScheduleAt(i.deliverName, arrive, sim.PriorityDelivery, f.deliver)
 }
 
-// getFlight pops an in-flight snapshot buffer, or allocates one.
-func (i *Interface) getFlight() *PciePkt {
+// flight is one packet on the wire: a snapshot of the PciePkt as
+// transmitted plus its transmit start, the begin mark of the wire
+// attribution segment (serialization + propagation). Records are
+// recycled through a per-interface free list once received — the
+// receiver never retains the snapshot (it keeps only the wrapped TLP)
+// — and deliver is bound once, when the record is first allocated, so
+// a wire crossing allocates nothing.
+type flight struct {
+	i       *Interface
+	pkt     PciePkt
+	txStart sim.Tick
+	deliver func()
+}
+
+// arrive hands the snapshot to the peer and recycles the record.
+func (f *flight) arrive() {
+	i := f.i
+	if i.link.eng.SpansOn() && f.pkt.Kind == KindTLP && f.pkt.TLP != nil {
+		i.spanObserve(&i.wireSeg, "wire", f.txStart, f.pkt.TLP.ID)
+	}
+	i.peer.receive(&f.pkt)
+	f.pkt = PciePkt{}
+	i.flightFree = append(i.flightFree, f)
+}
+
+// getFlight pops an in-flight record, or allocates one.
+func (i *Interface) getFlight() *flight {
 	if n := len(i.flightFree); n > 0 {
-		pp := i.flightFree[n-1]
+		f := i.flightFree[n-1]
 		i.flightFree[n-1] = nil
 		i.flightFree = i.flightFree[:n-1]
+		return f
+	}
+	f := &flight{i: i}
+	f.deliver = f.arrive
+	return f
+}
+
+// getPkt pops a replay-buffer entry from the free list, or allocates
+// one. The caller overwrites every field.
+func (i *Interface) getPkt() *PciePkt {
+	if n := len(i.pktFree); n > 0 {
+		pp := i.pktFree[n-1]
+		i.pktFree[n-1] = nil
+		i.pktFree = i.pktFree[:n-1]
 		return pp
 	}
 	return &PciePkt{}
 }
 
-// putFlight recycles a received snapshot buffer.
-func (i *Interface) putFlight(pp *PciePkt) {
-	*pp = PciePkt{}
-	i.flightFree = append(i.flightFree, pp)
+// maybeFree recycles a replay-buffer entry once nothing references it:
+// it has been ACKed (or flushed) out of the replay buffer and no
+// transmit queue still holds it. startReplay can queue an entry that
+// also still sits in freshQ, so both queues count.
+func (i *Interface) maybeFree(pp *PciePkt) {
+	if pp.acked && pp.qrefs == 0 {
+		i.putPkt(pp)
+	}
+}
+
+// putPkt returns an unreferenced entry to the free list. Clearing it
+// drops the wrapped TLP; free marks it so a double release, or a live
+// queue slot pointing at a recycled entry, is detectable.
+func (i *Interface) putPkt(pp *PciePkt) {
+	if pp.free {
+		panic(fmt.Sprintf("pcie: %s: replay-buffer entry seq=%d released twice", i.name, pp.Seq))
+	}
+	*pp = PciePkt{free: true}
+	i.pktFree = append(i.pktFree, pp)
+}
+
+// txQueue is a FIFO of replay-buffer entries waiting for the wire. It
+// pops by advancing a head index and compacts only when the backing
+// array is full, so a busy queue reuses its storage instead of
+// regrowing after every q = q[1:]. Every slot counts as one reference
+// on the entry (PciePkt.qrefs).
+type txQueue struct {
+	buf  []*PciePkt
+	head int
+}
+
+func (q *txQueue) len() int { return len(q.buf) - q.head }
+
+func (q *txQueue) push(pp *PciePkt) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	pp.qrefs++
+	q.buf = append(q.buf, pp)
+}
+
+func (q *txQueue) pop() *PciePkt {
+	pp := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	pp.qrefs--
+	return pp
 }
 
 // pause freezes the interface for a link-down window: every DLL timer
@@ -1204,10 +1313,12 @@ func (i *Interface) releaseUpTo(seq uint64) bool {
 			pp.acked = true
 			released = true
 			i.ackLat.Observe(uint64(now - pp.acceptedAt))
+			i.maybeFree(pp)
 		} else {
 			keep = append(keep, pp)
 		}
 	}
+	clear(i.replayBuf[len(keep):])
 	i.replayBuf = keep
 	i.bufGauge.Set(int64(len(i.replayBuf)))
 	return released
@@ -1259,11 +1370,12 @@ func (i *Interface) replayTimeout() {
 }
 
 func (i *Interface) startReplay() {
-	i.replayQ = append(i.replayQ[:0], i.replayBuf...)
+	i.dropQueue(&i.replayQ)
 	now := i.link.eng.Now()
-	for _, pp := range i.replayQ {
+	for _, pp := range i.replayBuf {
 		pp.replayed = true
 		pp.queuedAt = now
+		i.replayQ.push(pp)
 	}
 	i.scheduleTx()
 }

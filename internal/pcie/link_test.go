@@ -152,6 +152,15 @@ func newLinkRig(cfg LinkConfig, respLatency sim.Tick, respDepth int) *linkRig {
 	return &linkRig{eng, l, req, resp}
 }
 
+// queueWrites queues n line writes at consecutive addresses and
+// returns n.
+func (r *linkRig) queueWrites(n int) int {
+	for i := 0; i < n; i++ {
+		r.req.Write(uint64(i)*64, 64)
+	}
+	return n
+}
+
 func TestLinkRoundTripLatency(t *testing.T) {
 	cfg := DefaultLinkConfig() // Gen2 x1, 1ns prop
 	r := newLinkRig(cfg, 0, 0)

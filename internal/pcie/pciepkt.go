@@ -89,6 +89,13 @@ type PciePkt struct {
 	// the requestor's packet pool — a replay must transmit what was
 	// originally stored, exactly like a real replay buffer does.
 	wire int
+
+	// qrefs counts the transmit-queue slots (freshQ, replayQ) holding a
+	// replay-buffer entry; the entry returns to its interface's free
+	// list only once it is acked and qrefs is zero. free marks an entry
+	// sitting on that free list.
+	qrefs uint8
+	free  bool
 }
 
 // PayloadBytes returns the TLP payload size: writes carry their data
