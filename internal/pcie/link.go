@@ -1285,9 +1285,11 @@ func (i *Interface) ackTimerFire() {
 // remains" (§V-C).
 func (i *Interface) processAck(seq uint64) {
 	released := i.releaseUpTo(seq)
-	i.link.eng.Deschedule(i.replayTmr)
+	eng := i.link.eng
 	if len(i.replayBuf) > 0 {
-		i.link.eng.ScheduleEventAfter(i.replayTmr, i.link.ReplayTimeout(), sim.PriorityTimer)
+		eng.Reschedule(i.replayTmr, eng.Now()+i.link.ReplayTimeout(), sim.PriorityTimer)
+	} else {
+		eng.Deschedule(i.replayTmr)
 	}
 	if released {
 		i.notifyLocalRetry()

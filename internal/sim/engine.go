@@ -71,6 +71,15 @@ func (e *Engine) ScheduleEvent(ev *Event, when Tick, prio Priority) {
 	if ev.Scheduled() {
 		panic(fmt.Sprintf("sim: event %q is already scheduled for %s", ev.name, ev.when))
 	}
+	e.setKey(ev, when, prio)
+	e.queue.push(ev)
+}
+
+// setKey gives ev its queue key (when, prio, next seq), panicking on a
+// time in the past. Every schedule, in place or not, goes through here
+// exactly once, so the seq stream — and with it the fired order — does
+// not depend on how the queue stores the event.
+func (e *Engine) setKey(ev *Event, when Tick, prio Priority) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: event %q scheduled for %s, before now (%s)", ev.name, when, e.now))
 	}
@@ -81,7 +90,6 @@ func (e *Engine) ScheduleEvent(ev *Event, when Tick, prio Priority) {
 	ev.prio = prio
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	e.queue.push(ev)
 }
 
 // ScheduleEventAfter queues ev delay ticks from now.
@@ -98,10 +106,17 @@ func (e *Engine) Deschedule(ev *Event) {
 }
 
 // Reschedule moves ev to the new absolute time, whether or not it is
-// currently queued.
+// currently queued. An event queued in the heap is re-keyed and sifted
+// in place — the restart of a protocol timer — with the same key a
+// Deschedule plus ScheduleEvent would give it.
 func (e *Engine) Reschedule(ev *Event, when Tick, prio Priority) {
-	e.Deschedule(ev)
-	e.ScheduleEvent(ev, when, prio)
+	if !e.queue.inItems(ev) {
+		e.Deschedule(ev)
+		e.ScheduleEvent(ev, when, prio)
+		return
+	}
+	e.setKey(ev, when, prio)
+	e.queue.fix(ev)
 }
 
 // Schedule is the fire-and-forget form: it takes a one-shot event from
@@ -174,7 +189,7 @@ func (e *Engine) RunUntil(limit Tick) uint64 {
 
 	var fired uint64
 	for e.queue.len() > 0 && !e.stopped {
-		next := e.queue.items[0]
+		next := e.queue.peek()
 		if next.when > limit {
 			e.now = limit
 			if e.sampleEvery > 0 {
@@ -225,8 +240,7 @@ func (e *Engine) RunWhile(cond func() bool) uint64 {
 
 	var fired uint64
 	for e.queue.len() > 0 && !e.stopped && cond() {
-		next := e.queue.items[0]
-		e.queue.pop()
+		next := e.queue.pop()
 		e.now = next.when
 		if e.sampleEvery > 0 {
 			e.sampleUpTo()

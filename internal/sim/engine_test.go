@@ -400,3 +400,249 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 	e.Run()
 }
+
+// refKey is the reference model's copy of an event's queue key.
+type refKey struct {
+	when Tick
+	prio Priority
+	seq  uint64
+}
+
+func (a refKey) less(b refKey) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.seq < b.seq
+}
+
+// TestEngineRandomInRunScheduling property-tests the queue while it
+// runs: callbacks randomly schedule same-tick events at every priority
+// (a Timer or Delivery event at Now() from a Default callback undercuts
+// the one firing), schedule future events, and Deschedule or
+// Reschedule queued ones, earlier and later. A reference model keeps
+// its own (when, prio, seq) per live event, consuming one seq per
+// schedule as the engine must; every fired event has to be the model's
+// minimum, and Pending() has to match the model's size throughout.
+// Seeds are fixed, so a failure names the seed that reproduces it.
+func TestEngineRandomInRunScheduling(t *testing.T) {
+	prios := []Priority{PriorityTimer, PriorityDelivery, PriorityDefault, PriorityRetry}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		live := make(map[int]refKey) // event id -> key
+		var seq uint64
+		budget := 1500 // schedules left; keeps the run finite
+		ok := true
+		fail := func(format string, args ...any) {
+			if ok {
+				t.Logf("seed %d: "+format, append([]any{seed}, args...)...)
+			}
+			ok = false
+		}
+		note := func(id int, when Tick, prio Priority) {
+			live[id] = refKey{when, prio, seq}
+			seq++
+			budget--
+		}
+
+		// Persistent events, ids 0..len(pers)-1, are the ones tests may
+		// deschedule and reschedule; one-shots take ids after them.
+		pers := make([]*Event, 12)
+		nextID := len(pers)
+		var fire func(id int)
+		var act func()
+		fire = func(id int) {
+			var min int
+			first := true
+			for oid, k := range live {
+				if first || k.less(live[min]) {
+					min, first = oid, false
+				}
+			}
+			if first || min != id {
+				fail("fired event %d, reference minimum is %d", id, min)
+				return
+			}
+			if live[id].when != e.Now() {
+				fail("event %d fired at %v, keyed for %v", id, e.Now(), live[id].when)
+			}
+			delete(live, id)
+			if e.Pending() != len(live) {
+				fail("Pending() = %d, reference holds %d", e.Pending(), len(live))
+			}
+			for n := rng.Intn(4); n > 0 && budget > 0; n-- {
+				act()
+			}
+		}
+		for i := range pers {
+			i := i
+			pers[i] = e.NewEvent("pers", func() { fire(i) })
+		}
+		oneShot := func(when Tick, prio Priority) {
+			id := nextID
+			nextID++
+			note(id, when, prio)
+			e.ScheduleAt("oneshot", when, prio, func() { fire(id) })
+		}
+		act = func() {
+			prio := prios[rng.Intn(len(prios))]
+			switch rng.Intn(5) {
+			case 0, 1: // same-tick wake-up
+				oneShot(e.Now(), prio)
+			case 2: // future event
+				oneShot(e.Now()+Tick(1+rng.Intn(40)), prio)
+			default: // persistent event: schedule, deschedule or restart
+				i := rng.Intn(len(pers))
+				ev := pers[i]
+				if !ev.Scheduled() {
+					when := e.Now() + Tick(rng.Intn(40))
+					note(i, when, prio)
+					e.ScheduleEvent(ev, when, prio)
+					return
+				}
+				if rng.Intn(3) == 0 {
+					e.Deschedule(ev)
+					delete(live, i)
+				} else {
+					// Earlier or later than its current key, never
+					// before now.
+					when := e.Now() + Tick(rng.Intn(40))
+					before := e.Pending()
+					note(i, when, prio)
+					e.Reschedule(ev, when, prio)
+					if !ev.Scheduled() || e.Pending() != before {
+						fail("Reschedule: scheduled=%v pending %d -> %d", ev.Scheduled(), before, e.Pending())
+					}
+				}
+				if e.Pending() != len(live) {
+					fail("Pending() = %d after op on %d, reference holds %d", e.Pending(), i, len(live))
+				}
+			}
+		}
+
+		// A far-future layer keeps the heap deep, as on a busy fabric.
+		for i := 0; i < 48; i++ {
+			oneShot(Tick(1000+rng.Intn(1000)), prios[rng.Intn(len(prios))])
+		}
+		for i := 0; i < 8; i++ {
+			act()
+		}
+		e.Run()
+		if len(live) != 0 || e.Pending() != 0 {
+			fail("drained with %d reference events and %d pending", len(live), e.Pending())
+		}
+		return ok
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		if !f(seed) {
+			t.Fatalf("seed %d: fired order diverged from the reference model", seed)
+		}
+	}
+}
+
+// TestSameTickChainSkipsHeap: a chain of same-tick wake-ups over a
+// queue of later timers runs entirely through the hot slot; the heap
+// array is never touched.
+func TestSameTickChainSkipsHeap(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		e.ScheduleEvent(e.NewEvent("timer", func() {}), Second+Tick(i), PriorityTimer)
+	}
+	links := 0
+	var step func()
+	e.Schedule("chain", 10, func() { step() })
+	snap := append([]*Event(nil), e.queue.items...)
+	untouched := func() bool {
+		if len(e.queue.items) != len(snap) {
+			return false
+		}
+		for i, ev := range snap {
+			if e.queue.items[i] != ev || ev.idx != i {
+				return false
+			}
+		}
+		return true
+	}
+	step = func() {
+		if !untouched() {
+			t.Fatalf("link %d: the heap changed under a same-tick chain", links)
+		}
+		if links++; links < 100 {
+			e.Schedule("chain", 0, step)
+			if e.queue.hot == nil {
+				t.Fatalf("link %d: same-tick wake-up did not take the hot slot", links)
+			}
+		}
+	}
+	e.RunUntil(Millisecond)
+	if links != 100 || !untouched() {
+		t.Fatalf("chain ran %d links; heap untouched = %v", links, untouched())
+	}
+}
+
+// TestRescheduleInPlace: restarting a timer queued in the heap keeps
+// the event queued in the heap (no remove and re-push), keeps Pending(),
+// takes one seq like ScheduleEvent, and fires at the new time.
+func TestRescheduleInPlace(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	for _, w := range []Tick{5, 7, 9} {
+		e.ScheduleAt("other", w, PriorityDefault, func() { got = append(got, "other") })
+	}
+	tmr := e.NewEvent("tmr", func() { got = append(got, "tmr") })
+	e.ScheduleEvent(tmr, 6, PriorityTimer)
+	if !e.queue.inItems(tmr) {
+		t.Fatal("timer should be queued in the heap, behind the hot slot")
+	}
+	for _, when := range []Tick{8, 9, 3} {
+		pending, seq := e.Pending(), e.nextSeq
+		e.Reschedule(tmr, when, PriorityTimer)
+		if !e.queue.inItems(tmr) && e.queue.hot != tmr {
+			t.Fatalf("Reschedule(%v) dequeued the timer", when)
+		}
+		if e.Pending() != pending || tmr.When() != when || tmr.seq != seq || e.nextSeq != seq+1 {
+			t.Fatalf("Reschedule(%v): pending %d->%d, when %v, seq %d (want %d), nextSeq %d",
+				when, pending, e.Pending(), tmr.When(), tmr.seq, seq, e.nextSeq)
+		}
+	}
+	// The last restart (to 3) undercut the slot's event at 5, so the
+	// timer took the slot.
+	if e.queue.hot != tmr {
+		t.Fatal("a restart below the hot slot must take the slot")
+	}
+	e.Run()
+	want := []string{"tmr", "other", "other", "other"}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// BenchmarkEngineSameTickChain times a chain of same-tick wake-ups over
+// a heap of 64 far-future timers — the fabric18 shape, where tx kicks
+// and retries at Now() sit in front of a deep queue. One op is one
+// link of the chain.
+func BenchmarkEngineSameTickChain(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		e.ScheduleEvent(e.NewEvent("timer", func() {}), Second+Tick(i), PriorityTimer)
+	}
+	left := b.N
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			e.Schedule("chain", 0, step)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Schedule("chain", 1, step)
+	e.RunUntil(Millisecond)
+}

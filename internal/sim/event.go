@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Priority orders events that are scheduled for the same tick. Lower
 // values run first, matching gem5's convention. The pre-defined bands
 // keep unrelated models from racing at tick boundaries: e.g. DLLP ACK
@@ -33,7 +35,7 @@ type Event struct {
 	when Tick
 	prio Priority
 	seq  uint64 // insertion order; breaks (when, prio) ties deterministically
-	idx  int    // heap index, -1 when not queued
+	idx  int    // heap index, hotIdx in the hot slot, -1 when not queued
 
 	// oneShot marks a Schedule/ScheduleAt event eligible for recycling
 	// after it fires; nextFree links the engine's free list.
@@ -51,14 +53,43 @@ func (e *Event) Scheduled() bool { return e != nil && e.idx >= 0 }
 // meaningful while Scheduled() is true.
 func (e *Event) When() Tick { return e.when }
 
-// eventHeap is a binary min-heap ordered by (when, prio, seq). It is
-// implemented directly rather than via container/heap to avoid the
-// interface boxing on this extremely hot path.
+// hotIdx is the idx an event carries while it sits in the hot slot:
+// non-negative, so Scheduled() stays true, and never a heap index.
+const hotIdx = math.MaxInt
+
+// eventHeap is a binary min-heap ordered by (when, prio, seq), plus a
+// one-event hot slot in front of it. It is implemented directly rather
+// than via container/heap to avoid the interface boxing on this
+// extremely hot path.
+//
+// Invariant: hot, when set, is below every key in items, so the
+// minimum is hot if set and items[0] otherwise. A push that is a new
+// strict minimum lands in the slot with no sift, and the next pop takes
+// it back out the same way. That is the common same-tick wake-up: a
+// callback schedules a follow-up at Now() that runs before anything
+// already queued, which would otherwise sift to the root and straight
+// back down. Keys are unique by seq, so the pop order is exactly the
+// plain heap's.
 type eventHeap struct {
+	hot   *Event
 	items []*Event
 }
 
-func (h *eventHeap) len() int { return len(h.items) }
+func (h *eventHeap) len() int {
+	if h.hot != nil {
+		return len(h.items) + 1
+	}
+	return len(h.items)
+}
+
+// peek returns the minimum event without removing it. The queue must
+// not be empty.
+func (h *eventHeap) peek() *Event {
+	if h.hot != nil {
+		return h.hot
+	}
+	return h.items[0]
+}
 
 func (h *eventHeap) less(a, b *Event) bool {
 	if a.when != b.when {
@@ -71,12 +102,36 @@ func (h *eventHeap) less(a, b *Event) bool {
 }
 
 func (h *eventHeap) push(e *Event) {
+	if h.hot == nil {
+		if len(h.items) == 0 || h.less(e, h.items[0]) {
+			h.hot = e
+			e.idx = hotIdx
+			return
+		}
+	} else if h.less(e, h.hot) {
+		// e undercuts the slot: demote the old minimum into the heap,
+		// where it is still below every other key.
+		old := h.hot
+		h.hot = e
+		e.idx = hotIdx
+		h.pushItem(old)
+		return
+	}
+	h.pushItem(e)
+}
+
+func (h *eventHeap) pushItem(e *Event) {
 	e.idx = len(h.items)
 	h.items = append(h.items, e)
 	h.up(e.idx)
 }
 
 func (h *eventHeap) pop() *Event {
+	if top := h.hot; top != nil {
+		h.hot = nil
+		top.idx = -1
+		return top
+	}
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
@@ -90,13 +145,24 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
-// remove extracts an arbitrary event from the middle of the heap.
-func (h *eventHeap) remove(e *Event) {
+// inItems reports whether e is queued in items (not the hot slot).
+func (h *eventHeap) inItems(e *Event) bool {
 	i := e.idx
-	last := len(h.items) - 1
-	if i < 0 || i > last || h.items[i] != e {
+	return i >= 0 && i < len(h.items) && h.items[i] == e
+}
+
+// remove extracts an arbitrary event from the slot or the heap.
+func (h *eventHeap) remove(e *Event) {
+	if e == h.hot {
+		h.hot = nil
+		e.idx = -1
 		return
 	}
+	if !h.inItems(e) {
+		return
+	}
+	i := e.idx
+	last := len(h.items) - 1
 	h.items[i] = h.items[last]
 	h.items[i].idx = i
 	h.items[last] = nil
@@ -106,6 +172,24 @@ func (h *eventHeap) remove(e *Event) {
 		h.up(i)
 	}
 	e.idx = -1
+}
+
+// fix restores heap order after the key of e, queued in items, changed.
+// A key that dropped below the hot slot's takes the slot, and the old
+// slot event takes e's place at the root: it was below every other
+// item, so the heap stays valid.
+func (h *eventHeap) fix(e *Event) {
+	i := e.idx
+	h.down(i)
+	if e.idx == i {
+		h.up(i)
+	}
+	if h.hot != nil && e.idx == 0 && h.less(e, h.hot) {
+		h.items[0] = h.hot
+		h.hot.idx = 0
+		h.hot = e
+		e.idx = hotIdx
+	}
 }
 
 func (h *eventHeap) up(i int) {

@@ -165,6 +165,10 @@ func (s *System) RunDDAll(blockBytes uint64) (DDAllResult, error) {
 	results := make([]kernel.DDResult, n)
 	errs := make([]error, n)
 	tasks := make([]*kernel.Task, n)
+	// finished counts task bodies that returned. Each increments it
+	// inside the event that marks its Task done, so the stop tests are
+	// O(1) per event and stop on the same event a scan of Done would.
+	finished := 0
 	for i := range s.Disks {
 		i := i
 		h := s.DiskDriver.HandleFor(s.Disks[i].BDF)
@@ -174,31 +178,16 @@ func (s *System) RunDDAll(blockBytes uint64) (DDAllResult, error) {
 		cfg.BufAddr = s.Cfg.DD.BufAddr + uint64(i%24)*(64<<20)
 		tasks[i] = s.CPU.Spawn(fmt.Sprintf("dd.%s", s.Disks[i].Name), 0, func(t *kernel.Task) {
 			results[i], errs[i] = kernel.RunDD(t, h, cfg)
+			finished++
 		})
 	}
-	anyDone := func() bool {
-		for _, t := range tasks {
-			if t.Done() {
-				return true
-			}
-		}
-		return false
-	}
-	s.Eng.RunWhile(func() bool { return !anyDone() })
+	s.Eng.RunWhile(func() bool { return finished == 0 })
 	snap := make([]uint64, n)
 	for i, d := range s.Disks {
 		_, sectors := d.Dev.Stats()
 		snap[i] = sectors
 	}
-	allDone := func() bool {
-		for _, t := range tasks {
-			if !t.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	s.Eng.RunWhile(func() bool { return !allDone() })
+	s.Eng.RunWhile(func() bool { return finished < n })
 	for i, t := range tasks {
 		if !t.Done() {
 			return DDAllResult{}, fmt.Errorf("topo: dd task %d wedged", i)

@@ -3,8 +3,10 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"pciesim/internal/fault"
 	"pciesim/internal/sim"
 	"pciesim/internal/topo"
 )
@@ -141,5 +143,36 @@ func TestRunRejectsUnknownEndpoint(t *testing.T) {
 	sys := buildSys(t, "validation")
 	if _, err := Run(sys, tr, RunConfig{}); err == nil {
 		t.Fatal("unknown endpoint accepted")
+	}
+}
+
+// TestRunReportsWedgedFlow: a flow that can never finish — its disk's
+// link dies for good after boot and nothing times out — must surface
+// as a wedged-flow error once the queue drains, not as a hang or a
+// silent success.
+func TestRunReportsWedgedFlow(t *testing.T) {
+	tr, err := Synthesize([]FlowSpec{{
+		Endpoint: "disk", Op: OpRead, Arrival: ArrivalPoisson,
+		Ops: 2, Len: 4096, MeanGap: sim.Microsecond, Seed: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := buildSys(t, "validation")
+	if _, err := probe.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := topo.DefaultConfig()
+	cfg.EnableMSI = true
+	cfg.Faults = map[string]*fault.Plan{
+		"disklink": {Windows: []fault.Window{{At: probe.Eng.Now() + sim.Microsecond}}},
+	}
+	sys, err := topo.Build(topo.Validation(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(sys, tr, RunConfig{})
+	if err == nil || !strings.Contains(err.Error(), `flow "disk" wedged`) {
+		t.Fatalf("Run = %v, want a wedged-flow error", err)
 	}
 }
